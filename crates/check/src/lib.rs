@@ -122,6 +122,11 @@ pub struct Report {
     /// so speedups show up here while [`Report::total_time`] stays the
     /// comparable total-work figure.
     pub wall_time: Duration,
+    /// Times a thread found a process-global cache-shard lock held by
+    /// another thread during the run: one difference of
+    /// [`flux_fixpoint::shard_contentions`] around the whole run, so
+    /// concurrent solves never count each other's collisions twice.
+    pub shard_contention: usize,
 }
 
 impl Report {
@@ -214,6 +219,7 @@ impl Report {
 /// function completes normally — the PR 8 isolation pattern, one level up.
 pub fn check_program(program: &ResolvedProgram, config: &CheckConfig) -> Report {
     let start = Instant::now();
+    let contentions_before = flux_fixpoint::shard_contentions();
     let names: Vec<&str> = program
         .iter()
         .filter(|func| !func.def.trusted)
@@ -234,6 +240,7 @@ pub fn check_program(program: &ResolvedProgram, config: &CheckConfig) -> Report 
     };
     report.fn_threads = fn_threads;
     report.wall_time = start.elapsed();
+    report.shard_contention = (flux_fixpoint::shard_contentions() - contentions_before) as usize;
     report
 }
 

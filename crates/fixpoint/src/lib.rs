@@ -84,7 +84,8 @@ pub use qualifier::{default_qualifiers, well_sorted, Qualifier};
 #[doc(hidden)]
 pub use solve::panic_message;
 pub use solve::{
-    default_threads, FixConfig, FixResult, FixStats, FixpointSolver, Solution, UnknownReason,
+    default_threads, shard_contentions, FixConfig, FixResult, FixStats, FixpointSolver, Solution,
+    UnknownReason,
 };
 
 #[cfg(test)]

@@ -36,10 +36,9 @@ use crate::kvar::{KVarApp, KVarStore, KVid};
 use crate::partition::{partition, Partition};
 use crate::qualifier::{default_qualifiers, Qualifier};
 use flux_logic::{
-    hcons_memo_evictions, lock_recover, AlphaRenamer, Expr, ExprId, Name, Sort, SortCtx,
+    hcons_memo_evictions, lock_recover, AlphaMemo, AlphaRenamer, Expr, ExprId, Name, Sort, SortCtx,
 };
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,10 +71,13 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Snapshot of the process-global shard-lock contention counters (validity
-/// shards, CNF shards, hcons interner); solves difference it to attribute
-/// contention to a solve, mirroring `observed_evictions`.
-fn observed_contentions() -> u64 {
+/// Times any thread found a process-global cache-shard lock (validity
+/// shards, CNF shards, hcons interner) held by another thread, over the
+/// process lifetime.  Monotone; callers difference it around a whole run.
+/// Concurrent solves contend with each other, so a per-solve difference
+/// would count every collision once per solve in flight; `check_program`
+/// takes one difference around its whole fan-out instead.
+pub fn shard_contentions() -> u64 {
     crate::cache::validity_shard_contentions()
         + flux_smt::cnf_shard_contentions()
         + flux_logic::hcons_contentions()
@@ -206,12 +208,6 @@ pub struct FixStats {
     /// differencing the monotone global counters around the solve.  Zero
     /// unless a capacity cap (`FLUX_CACHE_CAP`) is set.
     pub evictions: usize,
-    /// Times a thread found a process-global cache-shard lock (validity
-    /// shards, CNF shards, hcons interner) held by another thread during
-    /// this solve, attributed by differencing the monotone global counters
-    /// around the solve.  A convoying diagnostic: zero in sequential runs,
-    /// and under sharding it should stay near zero even at 8 threads.
-    pub shard_contention: usize,
 }
 
 impl FixStats {
@@ -237,7 +233,6 @@ impl FixStats {
         self.revalidations += other.revalidations;
         self.unknown_drops += other.unknown_drops;
         self.evictions += other.evictions;
-        self.shard_contention += other.shard_contention;
     }
 }
 
@@ -475,11 +470,6 @@ struct ClauseMemo {
     kvar_insts: Vec<Option<(u64, ExprId)>>,
     /// Base context extended with the clause binders.
     ctx: Option<SortCtx>,
-    /// α-normalization memo: original hypothesis id ↦ canonical id under
-    /// this clause's renamer.  The renamer is determined by the clause
-    /// context, which never changes, so entries stay valid across κ
-    /// version bumps (where the hypothesis ids themselves largely repeat).
-    canon: HashMap<ExprId, ExprId>,
 }
 
 impl ClauseMemo {
@@ -488,7 +478,6 @@ impl ClauseMemo {
             pred_ids: vec![None; guards],
             kvar_insts: vec![None; guards],
             ctx: None,
-            canon: HashMap::new(),
         }
     }
 }
@@ -515,57 +504,84 @@ fn guard_versions_of(clause: &Clause, versions: &BTreeMap<KVid, u64>) -> Vec<u64
 /// renaming, a daemon's warm cache could never hit across requests.  The
 /// solver itself always works on the original expressions; only the keys
 /// are canonical, and the renaming is injective, so α-distinct queries keep
-/// distinct keys.
+/// distinct keys.  The canonical context lives in the clause context's
+/// scope of the engine's [`CanonMemo`]; goals are normalized in that scope
+/// by [`Engine::goal_key`].
 struct ClauseKeys {
-    fns: FnCtxId,
-    ctx: Arc<[(Name, Sort)]>,
+    /// Index of the clause context's scope in [`CanonMemo::scopes`].
+    scope: usize,
     hyps: Arc<[ExprId]>,
-    /// The clause's canonical renamer, fixed by the context binders.
-    renamer: AlphaRenamer,
-    /// Goal-normalization memo: the weakening loop probes the same goal ids
-    /// across iterations, and normalization walks the goal tree.
-    goal_memo: RefCell<HashMap<ExprId, ExprId>>,
 }
 
-impl ClauseKeys {
-    /// `canon` memoizes hypothesis normalization across rebuilds of the
-    /// same clause (the renamer is a pure function of the clause context,
-    /// which never changes, so entries survive κ version bumps).
-    fn new(
-        fns: FnCtxId,
-        clause_ctx: &SortCtx,
-        hyp_ids: &[ExprId],
-        canon: &mut HashMap<ExprId, ExprId>,
-    ) -> ClauseKeys {
-        let mut renamer = AlphaRenamer::new();
-        let ctx: Arc<[(Name, Sort)]> = clause_ctx
-            .iter()
-            .map(|(name, sort)| (renamer.bind(name), sort))
-            .collect();
-        let hyps: Arc<[ExprId]> = hyp_ids
-            .iter()
-            .map(|id| {
-                *canon
-                    .entry(*id)
-                    .or_insert_with(|| ExprId::intern(&renamer.normalize(&id.expr())))
-            })
-            .collect();
-        ClauseKeys {
-            fns,
-            ctx,
-            hyps,
-            renamer,
-            goal_memo: RefCell::new(HashMap::new()),
+/// The α-normalization memo of one engine, alive for one solve: one
+/// [`AlphaMemo`] per distinct clause context.
+///
+/// A clause's context is the solve's base context plus the clause's binder
+/// path, so every clause with the same context has the same renamer, and a
+/// normalized hypothesis or goal is shared by all of them — across κ
+/// version bumps, across clauses, and between the weakening and the
+/// concrete-head phases.  The memo is dropped with the engine when the
+/// solve ends.
+struct CanonMemo {
+    /// Scope index per clause context (original names and sorts).
+    index: HashMap<Box<[(Name, Sort)]>, usize>,
+    scopes: Vec<CanonScope>,
+    /// Re-derive every key through the tree renamer (audit tier `full`).
+    audit: bool,
+}
+
+/// One clause context's canonical form and normalization memo.
+struct CanonScope {
+    ctx: Arc<[(Name, Sort)]>,
+    memo: AlphaMemo,
+}
+
+impl CanonMemo {
+    fn new(audit: bool) -> CanonMemo {
+        CanonMemo {
+            index: HashMap::new(),
+            scopes: Vec::new(),
+            audit,
         }
     }
 
-    fn for_goal_id(&self, goal: ExprId) -> QueryKey {
-        let canon = *self
-            .goal_memo
-            .borrow_mut()
-            .entry(goal)
-            .or_insert_with(|| ExprId::intern(&self.renamer.normalize(&goal.expr())));
-        QueryKey::new(self.fns, self.ctx.clone(), self.hyps.clone(), canon)
+    /// The scope of `clause_ctx`, created (and its binders renamed) on
+    /// first use.
+    fn scope(&mut self, clause_ctx: &SortCtx) -> usize {
+        let bindings: Box<[(Name, Sort)]> = clause_ctx.iter().collect();
+        if let Some(&scope) = self.index.get(&bindings) {
+            return scope;
+        }
+        let mut renamer = AlphaRenamer::new();
+        let ctx = bindings
+            .iter()
+            .map(|&(name, sort)| (renamer.bind(name), sort))
+            .collect();
+        self.scopes.push(CanonScope {
+            ctx,
+            memo: AlphaMemo::new(renamer),
+        });
+        self.index.insert(bindings, self.scopes.len() - 1);
+        self.scopes.len() - 1
+    }
+
+    /// The canonical form of `id` in `scope`.  At audit tier `full` the
+    /// key is re-derived through the tree renamer and a mismatch panics: a
+    /// key that differs from the tree path's would split, or worse merge,
+    /// validity-cache entries.
+    fn normalize(&mut self, scope: usize, id: ExprId) -> ExprId {
+        let memo = &mut self.scopes[scope].memo;
+        let dag = memo.normalize(id);
+        if self.audit {
+            let tree = ExprId::intern(&memo.renamer().normalize(&id.expr()));
+            if dag != tree {
+                panic!(
+                    "FLUX_AUDIT: DAG α-normalization of {id:?} gave {dag:?}, \
+                     the tree renamer {tree:?}"
+                );
+            }
+        }
+        dag
     }
 }
 
@@ -622,6 +638,9 @@ struct Engine<'a> {
     /// step, so the concrete-check phase in particular runs almost entirely
     /// on hits from the weakening phase.
     inst_memo: HashMap<InstKey, HashMap<ExprId, ExprId>>,
+    /// α-normalization memo of the cache keys, shared by every clause this
+    /// engine prepares.
+    canon: CanonMemo,
     /// Degradations detected by this engine (budget-cut weakening loops);
     /// folded into the solve's [`FixResult::Unknown`] reasons.
     unknowns: Vec<UnknownReason>,
@@ -641,6 +660,7 @@ impl<'a> Engine<'a> {
             epoch: solver.epoch,
             fns: solver.fns,
             inst_memo: HashMap::new(),
+            canon: CanonMemo::new(solver.config.smt.audit.certifies()),
             unknowns: Vec::new(),
         }
     }
@@ -813,7 +833,7 @@ impl<'a> Engine<'a> {
                                 .ctx
                                 .get_or_insert_with(|| clause_ctx(clause, ctx))
                                 .clone();
-                            let keys = self.keys_for(&clause_ctx, &hyp_ids, &mut memo.canon);
+                            let keys = self.keys_for(&clause_ctx, &hyp_ids);
                             // A weakened κ-guard changes the hypotheses by a
                             // conjunct diff: retract the stale conjuncts from
                             // the live session and keep its CDCL core,
@@ -871,7 +891,10 @@ impl<'a> Engine<'a> {
                     let cached: Vec<Option<CacheEntry>> = state
                         .inst_ids
                         .iter()
-                        .map(|g| self.cache_peek(&keys.for_goal_id(*g)))
+                        .map(|g| {
+                            let key = self.goal_key(keys, *g);
+                            self.cache_peek(&key)
+                        })
                         .collect();
                     if cached
                         .iter()
@@ -935,7 +958,8 @@ impl<'a> Engine<'a> {
                                     .zip(&alive)
                                     .filter(|(_, alive)| **alive)
                                 {
-                                    self.cache_store(keys.for_goal_id(*goal), Validity::Valid);
+                                    let key = self.goal_key(keys, *goal);
+                                    self.cache_store(key, Validity::Valid);
                                 }
                             }
                             break;
@@ -997,8 +1021,7 @@ impl<'a> Engine<'a> {
         };
         let hyp_ids = self.hypotheses_of(clause, solution, kvars);
         let clause_ctx = clause_ctx(clause, ctx);
-        let mut canon = HashMap::new();
-        let keys = self.keys_for(&clause_ctx, &hyp_ids, &mut canon);
+        let keys = self.keys_for(&clause_ctx, &hyp_ids);
         let mut session = None;
         let goal_id = ExprId::intern(goal);
         let verdict = self.check(
@@ -1034,15 +1057,25 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    fn keys_for(
-        &self,
-        clause_ctx: &SortCtx,
-        hyp_ids: &[ExprId],
-        canon: &mut HashMap<ExprId, ExprId>,
-    ) -> Option<ClauseKeys> {
-        self.config
-            .incremental
-            .then(|| ClauseKeys::new(self.fns, clause_ctx, hyp_ids, canon))
+    /// The clause's cache-key parts (`None` with the incremental engine
+    /// off): its context's canonical form and normalized hypotheses.
+    fn keys_for(&mut self, clause_ctx: &SortCtx, hyp_ids: &[ExprId]) -> Option<ClauseKeys> {
+        if !self.config.incremental {
+            return None;
+        }
+        let scope = self.canon.scope(clause_ctx);
+        let hyps = hyp_ids
+            .iter()
+            .map(|&id| self.canon.normalize(scope, id))
+            .collect();
+        Some(ClauseKeys { scope, hyps })
+    }
+
+    /// The validity-cache key of `goal` checked against `keys`' clause.
+    fn goal_key(&mut self, keys: &ClauseKeys, goal: ExprId) -> QueryKey {
+        let canon = self.canon.normalize(keys.scope, goal);
+        let ctx = self.canon.scopes[keys.scope].ctx.clone();
+        QueryKey::new(self.fns, ctx, keys.hyps.clone(), canon)
     }
 
     /// Looks `key` up in whichever cache this solver uses (no stats).
@@ -1092,7 +1125,7 @@ impl<'a> Engine<'a> {
                 .smt
                 .check_valid_imp(clause_ctx, &hypotheses, &goals.tree());
         };
-        let key = keys.for_goal_id(goals.key_id());
+        let key = self.goal_key(keys, goals.key_id());
         if let Some(entry) = self.cache_peek(&key) {
             self.stats.cache_hits += 1;
             if entry.owner != self.solver_id {
@@ -1310,7 +1343,6 @@ impl FixpointSolver {
         self.config.smt.budget.deadline = None;
         self.config.smt.budget.stamp();
         let evictions_before = self.observed_evictions();
-        let contentions_before = observed_contentions();
         let threads = self.config.threads.max(1);
         let parts = partition(&clauses, kvars);
         self.stats = FixStats {
@@ -1356,7 +1388,6 @@ impl FixpointSolver {
             self.solve_parallel(&clauses, &parts, threads, kvars, ctx, &mut solution)
         };
         self.stats.evictions = (self.observed_evictions() - evictions_before) as usize;
-        self.stats.shard_contention = (observed_contentions() - contentions_before) as usize;
 
         // Assemble the blamed tags in clause order, deduplicated — the same
         // order the historical sequential pass produced.  Concrete heads the
@@ -1389,6 +1420,15 @@ impl FixpointSolver {
                 // over-weakened the assignment, and these failures could be
                 // artifacts of that — the program cannot be blamed.
                 reasons.push(UnknownReason::Budget("weakened-on-unknown"));
+                return FixResult::Unknown { solution, reasons };
+            }
+            // A panicked weakening component left its κs out of the
+            // assignment, i.e. at `true`: these failures may be artifacts
+            // of the lost invariants.
+            let lost_kvars = reasons.iter().any(|reason| {
+                matches!(reason, UnknownReason::WorkerPanic { component, .. } if *component != usize::MAX)
+            });
+            if lost_kvars {
                 return FixResult::Unknown { solution, reasons };
             }
             // Genuine even when weakening was cut short: a non-converged

@@ -117,7 +117,9 @@ pub struct QueryStats {
     /// Times a thread found a process-global cache-shard lock (validity
     /// shards, CNF shards, hcons interner) held by another thread during
     /// the run — the mutex-convoying diagnostic for the sharded caches.
-    /// Zero in sequential runs.
+    /// One difference of the global counters around the whole check
+    /// ([`flux_check::Report::shard_contention`]), so concurrent solves are
+    /// not double-counted.  Near zero in sequential runs.
     pub shard_contention: usize,
     /// Independent κ-dependency components across all fixpoint solves (the
     /// available weakening parallelism; Flux mode only).
@@ -240,7 +242,7 @@ pub fn verify_source(
                         .iter()
                         .map(|t| t.as_millis() as usize)
                         .collect(),
-                    shard_contention: fix.shard_contention,
+                    shard_contention: report.shard_contention,
                     partitions: fix.partitions,
                     worker_queries: report.total_worker_queries(),
                     lint_checks: fix.lint_checks,

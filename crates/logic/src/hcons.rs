@@ -11,14 +11,18 @@
 //! maps every distinct subterm to a `u32` id in a global append-only table,
 //! so two structurally equal expressions always receive the same id, no
 //! matter where or when they were built.  On top of the shared table this
-//! module offers memoized substitution ([`ExprId::subst`]) and memoized
-//! simplification ([`ExprId::simplified`]); both agree exactly with their
-//! tree-walking counterparts ([`crate::Subst::apply`] and
-//! [`crate::simplify`]).
+//! module offers memoized substitution ([`ExprId::subst`]), memoized
+//! simplification ([`ExprId::simplified`]) and memoized α-normalization
+//! ([`AlphaMemo`]); each agrees exactly with its tree-walking counterpart
+//! ([`crate::Subst::apply`], [`crate::simplify`] and
+//! [`AlphaRenamer::normalize`]).
 
 use crate::eval::same_sort;
 use crate::util::lock_recover;
-use crate::{simplify, BinOp, Constant, Expr, Name, Sort, SortCtx, SortError, Subst, UnOp, Value};
+use crate::{
+    simplify, AlphaRenamer, BinOp, Constant, Expr, Name, Sort, SortCtx, SortError, Subst, UnOp,
+    Value,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -252,6 +256,94 @@ impl Table {
         };
         memo.insert(id, out);
         out
+    }
+
+    /// `node`'s id, reusing `id` when the walk left every child unchanged
+    /// (the node then already is `id`), interning it otherwise.
+    fn reuse_or_intern(&mut self, id: ExprId, unchanged: bool, node: Node) -> ExprId {
+        if unchanged {
+            id
+        } else {
+            self.intern_node(node)
+        }
+    }
+
+    /// DAG α-normalization under `renamer` (see [`AlphaMemo`]), visiting
+    /// children in the tree walk's order.  Returns the image of `id` and
+    /// whether `id` is quantifier-free.  `next` is the tree walk's running
+    /// quantifier counter; `memo` holds images of quantifier-free subterms
+    /// only, which depend on nothing but the renamer's context map.  A
+    /// quantified node goes through the tree renamer, which numbers its
+    /// binders from `*next` and advances it, so its image is never
+    /// memoized as a subterm.
+    fn alpha_rec(
+        &mut self,
+        id: ExprId,
+        renamer: &AlphaRenamer,
+        next: &mut usize,
+        memo: &mut HashMap<ExprId, ExprId>,
+    ) -> (ExprId, bool) {
+        if let Some(&out) = memo.get(&id) {
+            return (out, true);
+        }
+        let node = self.nodes[id.0 as usize].clone();
+        let (out, quantifier_free) = match node {
+            Node::Var(name) => {
+                let canon = renamer.rename(name);
+                (
+                    self.reuse_or_intern(id, canon == name, Node::Var(canon)),
+                    true,
+                )
+            }
+            Node::Const(_) => (id, true),
+            Node::UnOp(op, e) => {
+                let (e2, qf) = self.alpha_rec(e, renamer, next, memo);
+                (self.reuse_or_intern(id, e2 == e, Node::UnOp(op, e2)), qf)
+            }
+            Node::BinOp(op, l, r) => {
+                let (l2, lqf) = self.alpha_rec(l, renamer, next, memo);
+                let (r2, rqf) = self.alpha_rec(r, renamer, next, memo);
+                let unchanged = l2 == l && r2 == r;
+                (
+                    self.reuse_or_intern(id, unchanged, Node::BinOp(op, l2, r2)),
+                    lqf && rqf,
+                )
+            }
+            Node::Ite(c, t, e) => {
+                let (c2, cqf) = self.alpha_rec(c, renamer, next, memo);
+                let (t2, tqf) = self.alpha_rec(t, renamer, next, memo);
+                let (e2, eqf) = self.alpha_rec(e, renamer, next, memo);
+                let unchanged = c2 == c && t2 == t && e2 == e;
+                (
+                    self.reuse_or_intern(id, unchanged, Node::Ite(c2, t2, e2)),
+                    cqf && tqf && eqf,
+                )
+            }
+            Node::App(f, args) => {
+                let mut quantifier_free = true;
+                let renamed: Box<[ExprId]> = args
+                    .iter()
+                    .map(|a| {
+                        let (a2, qf) = self.alpha_rec(*a, renamer, next, memo);
+                        quantifier_free &= qf;
+                        a2
+                    })
+                    .collect();
+                let unchanged = renamed == args;
+                (
+                    self.reuse_or_intern(id, unchanged, Node::App(f, renamed)),
+                    quantifier_free,
+                )
+            }
+            Node::Forall(..) | Node::Exists(..) => {
+                let tree = renamer.normalize_from(&self.rebuild(id), next);
+                (self.intern_expr(&tree), false)
+            }
+        };
+        if quantifier_free {
+            memo.insert(id, out);
+        }
+        (out, quantifier_free)
     }
 
     fn simplify_rec(&mut self, id: ExprId) -> ExprId {
@@ -766,6 +858,55 @@ pub fn interned_nodes() -> usize {
     table().nodes.len()
 }
 
+/// α-normalization of hash-consed expressions under one [`AlphaRenamer`],
+/// memoized across calls.
+///
+/// [`AlphaMemo::normalize`] returns exactly
+/// `ExprId::intern(&renamer.normalize(&id.expr()))`, but walks the DAG
+/// node by node under one table lock instead of rebuilding the tree,
+/// renaming it and re-interning the result.
+///
+/// Only quantifier-free subterms are memoized.  Their image depends on
+/// nothing but the renamer's context map, so it is the same wherever and
+/// whenever they occur.  The image of a quantified subterm also depends on
+/// the running binder counter: the tree walk numbers quantifier binders in
+/// visit order and never rewinds, so two occurrences of one quantified
+/// subterm in one expression receive different canonical names.  Quantified
+/// nodes therefore go through the tree renamer, with that counter, on every
+/// visit.  (Flux's own verification conditions are quantifier-free.)
+#[derive(Debug)]
+pub struct AlphaMemo {
+    renamer: AlphaRenamer,
+    /// Images of quantifier-free subterms.
+    memo: HashMap<ExprId, ExprId>,
+}
+
+impl AlphaMemo {
+    /// An empty memo for `renamer`, whose context is fixed from now on.
+    pub fn new(renamer: AlphaRenamer) -> AlphaMemo {
+        AlphaMemo {
+            renamer,
+            memo: HashMap::new(),
+        }
+    }
+
+    /// The renamer this memo normalizes under.
+    pub fn renamer(&self) -> &AlphaRenamer {
+        &self.renamer
+    }
+
+    /// The α-normal form of `id`; takes the table lock only on a miss.
+    pub fn normalize(&mut self, id: ExprId) -> ExprId {
+        if let Some(&out) = self.memo.get(&id) {
+            return out;
+        }
+        let mut next = self.renamer.first_quantifier_index();
+        table()
+            .alpha_rec(id, &self.renamer, &mut next, &mut self.memo)
+            .0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,6 +1112,7 @@ mod tests {
     #[test]
     fn dag_evaluate_agrees_with_tree_evaluate() {
         use crate::eval::{evaluate, Value};
+        let _guard = serial();
 
         fn gen_expr(rng: &mut XorShift, depth: usize) -> Expr {
             fn term(rng: &mut XorShift) -> Expr {
@@ -1073,6 +1215,124 @@ mod tests {
             err,
             SortError::UnboundVar(Name::intern("free_in_sort_check"))
         );
+    }
+
+    /// Random expressions for the α-normalization differential test: a
+    /// small name pool (context names, shadowed ones, never-bound ones),
+    /// function applications, and quantifiers that nest, sit side by side,
+    /// repeat a name within one binder list, and recur as one shared
+    /// subterm.
+    fn gen_alpha_expr(rng: &mut XorShift, depth: usize) -> Expr {
+        const NAMES: [&str; 6] = ["al_a", "al_b", "al_c", "al_q", "al_r", "al_free"];
+        let name = |rng: &mut XorShift| Name::intern(NAMES[rng.below(NAMES.len() as u64) as usize]);
+        if depth == 0 || rng.below(4) == 0 {
+            return match rng.below(3) {
+                0 => Expr::int(rng.below(3) as i128),
+                _ => Expr::var(name(rng)),
+            };
+        }
+        match rng.below(9) {
+            0 => Expr::not(gen_alpha_expr(rng, depth - 1)),
+            1 => Expr::ite(
+                gen_alpha_expr(rng, depth - 1),
+                gen_alpha_expr(rng, depth - 1),
+                gen_alpha_expr(rng, depth - 1),
+            ),
+            2 => {
+                let arity = rng.below(3) as usize;
+                let args = (0..arity).map(|_| gen_alpha_expr(rng, depth - 1)).collect();
+                Expr::app("al_f", args)
+            }
+            3 | 4 => {
+                // One or two binders, possibly the same name twice.
+                let mut binders = vec![(name(rng), Sort::Int)];
+                if rng.below(2) == 0 {
+                    binders.push((name(rng), Sort::Int));
+                }
+                let body = gen_alpha_expr(rng, depth - 1);
+                if rng.below(2) == 0 {
+                    Expr::Forall(binders, Box::new(body))
+                } else {
+                    Expr::Exists(binders, Box::new(body))
+                }
+            }
+            5 => {
+                // The same (possibly quantified) subterm twice in one DAG.
+                let shared = gen_alpha_expr(rng, depth - 1);
+                Expr::binop(BinOp::And, shared.clone(), shared)
+            }
+            6 => Expr::binop(
+                BinOp::Add,
+                gen_alpha_expr(rng, depth - 1),
+                gen_alpha_expr(rng, depth - 1),
+            ),
+            _ => Expr::binop(
+                BinOp::Lt,
+                gen_alpha_expr(rng, depth - 1),
+                gen_alpha_expr(rng, depth - 1),
+            ),
+        }
+    }
+
+    /// A renamer over a context that binds `al_a`, `al_b` and `al_a` again
+    /// (shadowing the first), leaving the other pool names free.
+    fn alpha_context() -> AlphaRenamer {
+        let mut renamer = AlphaRenamer::new();
+        for name in ["al_a", "al_b", "al_a"] {
+            renamer.bind(Name::intern(name));
+        }
+        renamer
+    }
+
+    /// DAG α-normalization must return exactly the id of the tree path,
+    /// whether the memo is fresh or shared with every earlier expression.
+    #[test]
+    fn alpha_memo_agrees_with_tree_normalization() {
+        let _guard = serial();
+        let renamer = alpha_context();
+        let (q, r) = (Name::intern("al_q"), Name::intern("al_r"));
+        let quantified = Expr::forall(
+            vec![(q, Sort::Int)],
+            Expr::lt(Expr::var(q), v("al_a") + v("al_free")),
+        );
+        let mut cases = vec![
+            // The same quantified subterm twice: each occurrence numbers
+            // its binder from the running counter, so the two differ.
+            Expr::binop(BinOp::And, quantified.clone(), quantified.clone()),
+            // Sibling quantifiers sharing a quantifier-free subterm.
+            Expr::binop(
+                BinOp::Or,
+                Expr::and(v("al_b"), quantified.clone()),
+                Expr::and(v("al_b"), Expr::not(quantified)),
+            ),
+            // Nested quantifiers, one binder list naming `al_q` twice.
+            Expr::exists(
+                vec![(r, Sort::Int), (q, Sort::Int), (q, Sort::Bool)],
+                Expr::forall(
+                    vec![(Name::intern("al_a"), Sort::Int)],
+                    Expr::app("al_f", vec![v("al_a"), v("al_q"), v("al_r"), v("al_c")]),
+                ),
+            ),
+            // No quantifier at all; unbound names and applications.
+            Expr::app("al_f", vec![v("al_free"), v("al_a") + v("al_b")]),
+        ];
+        let mut rng = XorShift(0xA1FA_5EED);
+        cases.extend((0..400).map(|_| gen_alpha_expr(&mut rng, 5)));
+        let mut shared = AlphaMemo::new(renamer.clone());
+        let ids: Vec<ExprId> = cases.iter().map(ExprId::intern).collect();
+        for (e, &id) in cases.iter().zip(&ids) {
+            let tree = ExprId::intern(&renamer.normalize(e));
+            let fresh = AlphaMemo::new(renamer.clone()).normalize(id);
+            assert_eq!(fresh, tree, "fresh memo disagrees on {e:?}");
+            assert_eq!(shared.normalize(id), tree, "shared memo disagrees on {e:?}");
+            // A repeat answers from the memo, identically.
+            assert_eq!(shared.normalize(id), tree, "memo hit disagrees on {e:?}");
+        }
+        // A memo warmed in the reverse order agrees too.
+        let mut reversed = AlphaMemo::new(renamer.clone());
+        let backwards: Vec<ExprId> = ids.iter().rev().map(|&id| reversed.normalize(id)).collect();
+        let forwards: Vec<ExprId> = ids.iter().map(|&id| shared.normalize(id)).collect();
+        assert!(backwards.into_iter().rev().eq(forwards));
     }
 
     #[test]

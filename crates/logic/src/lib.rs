@@ -52,7 +52,7 @@ pub use eval::{evaluate, Value};
 pub use expr::{BinOp, Constant, Expr, UnOp};
 pub use hcons::{
     flush_hcons_memos, hcons_contentions, hcons_memo_evictions, hcons_memo_high_watermark,
-    interned_nodes, set_hcons_memo_capacity, ExprId,
+    interned_nodes, set_hcons_memo_capacity, AlphaMemo, ExprId,
 };
 pub use intern::Name;
 pub use simplify::simplify;

@@ -158,7 +158,7 @@ impl Expr {
 /// distinct canonical name — so two queries normalize to the same key only
 /// if they are genuinely α-equivalent.  Normalized expressions serve
 /// *only* as cache keys: the solver always works on the originals.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct AlphaRenamer {
     outer: std::collections::HashMap<Name, Name>,
     next: usize,
@@ -191,12 +191,36 @@ impl AlphaRenamer {
     /// matter how many others were normalized before it.  Names bound
     /// neither by the context nor by a quantifier pass through untouched,
     /// as do function symbols (they live in a separate namespace).
+    ///
+    /// [`crate::AlphaMemo`] computes the same normalization over the
+    /// hash-consed DAG without rebuilding the tree.
     pub fn normalize(&self, expr: &Expr) -> Expr {
+        self.normalize_from(expr, &mut self.next.clone())
+    }
+
+    /// [`AlphaRenamer::normalize`] with quantifier numbering starting at
+    /// `*next` instead of the context size, advancing `*next` past every
+    /// binder renamed: the DAG walk hands each quantified subterm here with
+    /// the running counter, exactly as the tree walk would reach it.
+    pub(crate) fn normalize_from(&self, expr: &Expr, next: &mut usize) -> Expr {
         let mut scope = ScopedRenamer {
             map: self.outer.clone(),
-            next: self.next,
+            next: *next,
         };
-        scope.go(expr)
+        let out = scope.go(expr);
+        *next = scope.next;
+        out
+    }
+
+    /// The canonical name of a free occurrence of `name` outside every
+    /// quantifier (`name` itself when the context does not bind it).
+    pub(crate) fn rename(&self, name: Name) -> Name {
+        self.outer.get(&name).copied().unwrap_or(name)
+    }
+
+    /// The first canonical index a quantifier binder receives.
+    pub(crate) fn first_quantifier_index(&self) -> usize {
+        self.next
     }
 }
 

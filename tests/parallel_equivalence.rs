@@ -219,3 +219,25 @@ fn corpus_verdicts_are_identical_across_function_fanout_widths() {
         }
     }
 }
+
+/// The `contend` figure is one difference of the process-global contention
+/// counters per program, taken around the whole function fan-out.  Summing
+/// per-solve differences instead counted every collision between two
+/// concurrent solves once per solve in flight, so the corpus total could
+/// exceed the number of collisions that actually happened.
+#[test]
+fn contention_total_never_exceeds_the_global_counters() {
+    let config = with_pools(2, 2);
+    let before = flux_fixpoint::shard_contentions();
+    let mut total = 0;
+    for b in flux::benchmarks() {
+        let outcome = verify_source(b.flux_src, Mode::Flux, &config)
+            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
+        total += outcome.stats.shard_contention as u64;
+    }
+    let delta = flux_fixpoint::shard_contentions() - before;
+    assert!(
+        total <= delta,
+        "reported contention {total} exceeds the {delta} collisions the global counters saw"
+    );
+}
