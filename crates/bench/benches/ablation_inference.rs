@@ -3,14 +3,15 @@
 //! Compares constraint generation + fixpoint solving against constraint
 //! generation alone, quantifying how much of Flux's runtime is spent in the
 //! inference phase that replaces hand-written loop invariants.  Also
-//! compares the incremental query engine (sessions + validity cache, the
-//! default) against one-shot solving.
+//! compares the engine (sessions, validity cache, counter-model pruning)
+//! against the one-shot reference solver, `flux_fixpoint::reference`.
 
 use flux_bench::harness::{black_box, Criterion};
 use flux_check::checker::Generator;
-use flux_fixpoint::{FixConfig, FixpointSolver};
+use flux_fixpoint::{default_qualifiers, FixpointSolver};
 use flux_ir::ResolvedProgram;
 use flux_logic::SortCtx;
+use flux_smt::Solver;
 
 fn bench_inference(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_inference");
@@ -38,15 +39,17 @@ fn bench_inference(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("{name}/gen-plus-inference-one-shot"), |bencher| {
-            let config = FixConfig {
-                incremental: false,
-                ..FixConfig::default()
-            };
+            let qualifiers = default_qualifiers();
             bencher.iter(|| {
                 for f in &fn_names {
                     let gen = Generator::new(&resolved).gen_function(f).unwrap();
-                    let mut solver = FixpointSolver::new(config.clone());
-                    black_box(solver.solve(&gen.constraint, &gen.kvars, &SortCtx::new()));
+                    black_box(flux_fixpoint::reference(
+                        &gen.constraint,
+                        &gen.kvars,
+                        &SortCtx::new(),
+                        &qualifiers,
+                        &mut Solver::with_defaults(),
+                    ));
                 }
             })
         });

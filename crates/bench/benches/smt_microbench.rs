@@ -110,14 +110,12 @@ fn bench_smt(c: &mut Criterion) {
             let mut simplex = IncrementalSimplex::new(LiaConfig::default());
             let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
             let bounds: Vec<_> = (0..32).map(|k| simplex.register(&round_bound(k))).collect();
-            for k in 0..32 {
+            for &bound in &bounds {
                 simplex.push();
                 for (tag, slot) in slots.iter().enumerate() {
                     simplex.assert_constraint(*slot, true, tag).unwrap();
                 }
-                simplex
-                    .assert_constraint(bounds[k], true, slots.len())
-                    .unwrap();
+                simplex.assert_constraint(bound, true, slots.len()).unwrap();
                 assert!(matches!(simplex.check_integer(), LiaResult::Feasible(_)));
                 simplex.pop();
             }
@@ -207,11 +205,10 @@ fn bench_smt(c: &mut Criterion) {
     // Long-session simplex: 479 registered rows, and check rounds that each
     // touch only four of them.  Setup (registration and the base asserts)
     // happens outside the timed region — what is measured is the steady
-    // state of an aged session, where the historical row-scan path pays
-    // O(rows) per bound slide regardless of how many rows mention the
-    // variable while the occurrence-list path touches only the rows
-    // containing the slid variable and stays flat as the session grows.
-    let long_session_setup = |cfg: LiaConfig| {
+    // state of an aged session, where a bound slide touches only the rows
+    // containing the slid variable (the column occurrence lists), so the
+    // round cost stays flat as the session grows.
+    let long_session_setup = || {
         let n = 160usize;
         let name = |i: usize| Name::intern(&format!("lsx{i}"));
         let mut family = Vec::new();
@@ -238,7 +235,7 @@ fn bench_smt(c: &mut Criterion) {
                 LinConstraint::le_zero(lhs)
             })
             .collect();
-        let mut simplex = IncrementalSimplex::new(cfg);
+        let mut simplex = IncrementalSimplex::new(LiaConfig::default());
         let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
         let extra_slots: Vec<_> = extras.iter().map(|c| simplex.register(c)).collect();
         for (tag, slot) in slots.iter().enumerate() {
@@ -261,20 +258,8 @@ fn bench_smt(c: &mut Criterion) {
             simplex.pop();
         }
     };
-    group.bench_function("lia-long-session-occ-lists", |b| {
-        let cfg = LiaConfig {
-            row_scan: false,
-            ..LiaConfig::default()
-        };
-        let (mut simplex, extra_slots, base) = long_session_setup(cfg);
-        b.iter(|| long_session_rounds(&mut simplex, &extra_slots, base))
-    });
-    group.bench_function("lia-long-session-row-scan", |b| {
-        let cfg = LiaConfig {
-            row_scan: true,
-            ..LiaConfig::default()
-        };
-        let (mut simplex, extra_slots, base) = long_session_setup(cfg);
+    group.bench_function("lia-long-session", |b| {
+        let (mut simplex, extra_slots, base) = long_session_setup();
         b.iter(|| long_session_rounds(&mut simplex, &extra_slots, base))
     });
 

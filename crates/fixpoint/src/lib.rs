@@ -64,6 +64,7 @@ mod constraint;
 mod kvar;
 pub mod partition;
 mod qualifier;
+mod reference;
 mod solve;
 
 pub use audit::{lint_clauses, lint_solution};
@@ -81,6 +82,7 @@ pub use constraint::{Clause, Constraint, Guard, Head, Tag};
 pub use kvar::{KVarApp, KVarDecl, KVarStore, KVid};
 pub use partition::{partition, Partition};
 pub use qualifier::{default_qualifiers, well_sorted, Qualifier};
+pub use reference::reference;
 #[doc(hidden)]
 pub use solve::panic_message;
 pub use solve::{

@@ -92,17 +92,6 @@ pub struct FixConfig {
     pub max_iterations: usize,
     /// The qualifier templates used to seed candidate solutions.
     pub qualifiers: Vec<Qualifier>,
-    /// Use the incremental query engine: one solver session per clause per
-    /// iteration plus the cross-iteration validity cache.  Disable to get
-    /// the historical one-query-one-pipeline behaviour (kept for A/B
-    /// testing and the ablation benches; verdicts are identical).
-    pub incremental: bool,
-    /// Weaken candidates by evaluating them under the solver's
-    /// counter-models (Houdini-style) before falling back to one SMT query
-    /// per candidate.  Disable for A/B testing; the resulting fixpoint — and
-    /// hence every verdict and inferred invariant — is identical either
-    /// way, only the number of SMT queries differs.
-    pub model_pruning: bool,
     /// Share verdicts through the process-global validity cache, so
     /// identical obligations are proved once per *process* rather than once
     /// per program (`xbench_hits` counts the cross-benchmark replays).
@@ -117,35 +106,16 @@ pub struct FixConfig {
     /// environment variable, else the machine's parallelism).  Verdicts and
     /// solutions are thread-count-invariant.
     pub threads: usize,
-    /// When a clause's depended-on κ weakens, *retract* the stale
-    /// hypothesis conjuncts from the clause's live session (via
-    /// [`Session::update_hypotheses`]) instead of discarding the session:
-    /// the persistent CDCL core, its learned clauses and the simplex basis
-    /// survive the weakening step.  Disable (or set `FLUX_LEGACY`) to get
-    /// the historical discard-and-rebuild behaviour; verdicts and solutions
-    /// are identical either way.
-    pub retract_conjuncts: bool,
-    /// Evaluate counter-models directly over the hash-consed expression DAG
-    /// (memoized per query) instead of materializing tree forms of the
-    /// candidates and hypotheses per clause version.  Disable (or set
-    /// `FLUX_LEGACY`) for the historical tree evaluator; the two evaluators
-    /// agree decision-for-decision, so the fixpoint is identical.
-    pub dag_eval: bool,
 }
 
 impl Default for FixConfig {
     fn default() -> Self {
-        let legacy = flux_smt::legacy_toggles();
         FixConfig {
             smt: SmtConfig::default(),
             max_iterations: 100,
             qualifiers: default_qualifiers(),
-            incremental: true,
-            model_pruning: true,
             global_cache: true,
             threads: default_threads(),
-            retract_conjuncts: !legacy,
-            dag_eval: !legacy,
         }
     }
 }
@@ -278,6 +248,11 @@ impl Solution {
         self.assignment.get(&kvid).map_or(0, Vec::len)
     }
 
+    /// The candidate conjuncts of `kvid`, as trees.
+    pub(crate) fn candidates(&self, kvid: KVid) -> &[Expr] {
+        self.assignment.get(&kvid).map_or(&[], Vec::as_slice)
+    }
+
     /// The hash-consed candidate conjuncts of `kvid`.
     fn candidate_ids(&self, kvid: KVid) -> Option<&[ExprId]> {
         self.ids.get(&kvid).map(Vec::as_slice)
@@ -290,7 +265,7 @@ impl Solution {
     }
 
     /// Drops the candidates whose `mask` entry is `false`, in both forms.
-    fn retain_mask(&mut self, kvid: KVid, mask: &[bool]) {
+    pub(crate) fn retain_mask(&mut self, kvid: KVid, mask: &[bool]) {
         let conjuncts = self
             .assignment
             .get_mut(&kvid)
@@ -406,36 +381,18 @@ struct ClauseState {
     /// cross_fn)` of the lookup that proved convergence).
     converged_hit: Option<(bool, bool)>,
     /// Hash-consed ids of the head candidates instantiated at the
-    /// application's arguments; every cache key, conjunction and session
-    /// query is id-based (no tree walks).
+    /// application's arguments; every cache key, conjunction, session query
+    /// and counter-model evaluation is id-based (no tree walks).
     inst_ids: Vec<ExprId>,
-    /// Tree form of `inst_ids`, materialized lazily — only counter-model
-    /// evaluation needs it.
-    insts: Option<Vec<Expr>>,
     /// The clause's hypotheses under the current assignment, hash-consed.
     hyp_ids: Vec<ExprId>,
-    /// Tree form of `hyp_ids`, materialized lazily — only counter-model
-    /// evaluation and the legacy (non-incremental) pipeline need it.
-    hypotheses: Option<Vec<Expr>>,
     /// Base context extended with the clause binders.
     clause_ctx: SortCtx,
-    /// Interned cache-key parts (`None` with the incremental engine off).
-    keys: Option<ClauseKeys>,
+    /// Interned cache-key parts.
+    keys: ClauseKeys,
     /// The live solver session, opened lazily on the first cache miss and
     /// kept across iterations.
     session: Option<Session>,
-}
-
-impl ClauseState {
-    /// Materializes the tree forms needed for counter-model evaluation.
-    fn materialize_trees(&mut self) {
-        if self.insts.is_none() {
-            self.insts = Some(self.inst_ids.iter().map(|id| id.expr()).collect());
-        }
-        if self.hypotheses.is_none() {
-            self.hypotheses = Some(self.hyp_ids.iter().map(|id| id.expr()).collect());
-        }
-    }
 }
 
 /// Per-clause weakening state lives on worker threads (and carries the live
@@ -600,26 +557,19 @@ impl Goals<'_> {
             Goals::Conjunction(_, whole) => *whole,
         }
     }
-
-    /// The goal as a tree, for the non-incremental (legacy A/B) pipeline.
-    fn tree(&self) -> Expr {
-        match self {
-            Goals::Single(id) => id.expr(),
-            Goals::Conjunction(ids, _) => Expr::and_all(ids.iter().map(|id| id.expr())),
-        }
-    }
 }
 
 /// The per-worker clause-solving engine: everything one weakening (or
 /// concrete-check) worker needs, owned privately so partitions solve
-/// without sharing mutable state — statistics and the one-shot fallback
-/// solver included.  The only state workers share are the caches, which are
+/// without sharing mutable state — statistics included.  The only state
+/// workers share are the caches, which are
 /// mutex-guarded: the process-global hash-cons / CNF / verdict tables, and
 /// the owning solver's hermetic cache when the global one is disabled.
 struct Engine<'a> {
     config: &'a FixConfig,
     stats: FixStats,
-    smt: Solver,
+    /// Statistics of the clause sessions this engine closed.
+    smt_stats: SmtStats,
     /// The owning solver's hermetic cache (used when `global_cache` is
     /// off); shared by every worker of that solver.
     local_cache: &'a Mutex<ValidityCache>,
@@ -654,7 +604,7 @@ impl<'a> Engine<'a> {
         Engine {
             config: &solver.config,
             stats: FixStats::default(),
-            smt: Solver::new(solver.config.smt),
+            smt_stats: SmtStats::default(),
             local_cache: &solver.local_cache,
             solver_id: solver.solver_id,
             epoch: solver.epoch,
@@ -783,9 +733,7 @@ impl<'a> Engine<'a> {
                 if stale_head || stale_guards {
                     let memo =
                         memos[si].get_or_insert_with(|| ClauseMemo::new(clause.guards.len()));
-                    // Candidates are instantiated over the shared DAG; tree
-                    // forms are materialized lazily, only when a
-                    // counter-model needs evaluating.
+                    // Candidates are instantiated over the shared DAG.
                     let inst_ids: Vec<ExprId> = match solution.candidate_ids(app.kvid) {
                         Some(ids) if !ids.is_empty() => self.instantiate_at(app, kvars, ids),
                         _ => continue,
@@ -798,7 +746,6 @@ impl<'a> Engine<'a> {
                             // simplex basis — are still exactly right.
                             state.head_version = head_version;
                             state.inst_ids = inst_ids;
-                            state.insts = None;
                             state.converged_hit = None;
                         }
                         (slot, _) => {
@@ -841,15 +788,12 @@ impl<'a> Engine<'a> {
                             // rebuilding from scratch.
                             let mut session = None;
                             if let Some(old) = slot.take() {
-                                match old.session {
-                                    Some(mut live) if self.config.retract_conjuncts => {
-                                        if live.update_hypotheses(&hyp_ids) {
-                                            session = Some(live);
-                                        } else {
-                                            self.close(Some(live));
-                                        }
+                                if let Some(mut live) = old.session {
+                                    if live.update_hypotheses(&hyp_ids) {
+                                        session = Some(live);
+                                    } else {
+                                        self.close(Some(live));
                                     }
-                                    other => self.close(other),
                                 }
                             }
                             *slot = Some(ClauseState {
@@ -857,9 +801,7 @@ impl<'a> Engine<'a> {
                                 guard_versions,
                                 converged_hit: None,
                                 inst_ids,
-                                insts: None,
                                 hyp_ids,
-                                hypotheses: None,
                                 clause_ctx,
                                 keys,
                                 session,
@@ -887,36 +829,34 @@ impl<'a> Engine<'a> {
                 // cached as valid — the common case when the clause
                 // re-enters after surviving a previous iteration — the whole
                 // query is answered from the cache outright.
-                if let Some(keys) = &state.keys {
-                    let cached: Vec<Option<CacheEntry>> = state
-                        .inst_ids
+                let cached: Vec<Option<CacheEntry>> = state
+                    .inst_ids
+                    .iter()
+                    .map(|g| {
+                        let key = self.goal_key(&state.keys, *g);
+                        self.cache_peek(&key)
+                    })
+                    .collect();
+                if cached
+                    .iter()
+                    .all(|c| matches!(c, Some(e) if e.verdict == Validity::Valid))
+                {
+                    self.stats.smt_queries += 1;
+                    self.stats.cache_hits += 1;
+                    let xbench = cached
                         .iter()
-                        .map(|g| {
-                            let key = self.goal_key(keys, *g);
-                            self.cache_peek(&key)
-                        })
-                        .collect();
-                    if cached
-                        .iter()
-                        .all(|c| matches!(c, Some(e) if e.verdict == Validity::Valid))
-                    {
-                        self.stats.smt_queries += 1;
-                        self.stats.cache_hits += 1;
-                        let xbench = cached
+                        .all(|c| matches!(c, Some(e) if e.owner != self.solver_id));
+                    let cross_fn = !xbench
+                        && cached
                             .iter()
-                            .all(|c| matches!(c, Some(e) if e.owner != self.solver_id));
-                        let cross_fn = !xbench
-                            && cached
-                                .iter()
-                                .all(|c| matches!(c, Some(e) if e.epoch < self.epoch));
-                        if xbench {
-                            self.stats.xbench_hits += 1;
-                        } else if cross_fn {
-                            self.stats.cross_fn_hits += 1;
-                        }
-                        state.converged_hit = Some((xbench, cross_fn));
-                        continue;
+                            .all(|c| matches!(c, Some(e) if e.epoch < self.epoch));
+                    if xbench {
+                        self.stats.xbench_hits += 1;
+                    } else if cross_fn {
+                        self.stats.cross_fn_hits += 1;
                     }
+                    state.converged_hit = Some((xbench, cross_fn));
+                    continue;
                 }
                 let mut alive = vec![true; state.inst_ids.len()];
                 // Houdini-style weakening: check the conjunction of the
@@ -951,24 +891,19 @@ impl<'a> Engine<'a> {
                             // `hyps ⟹ ci`, so seed the per-candidate entries
                             // the next iteration (or the fast path above)
                             // will ask for.
-                            if let Some(keys) = &state.keys {
-                                for (goal, _) in state
-                                    .inst_ids
-                                    .iter()
-                                    .zip(&alive)
-                                    .filter(|(_, alive)| **alive)
-                                {
-                                    let key = self.goal_key(keys, *goal);
-                                    self.cache_store(key, Validity::Valid);
-                                }
+                            for (goal, _) in state
+                                .inst_ids
+                                .iter()
+                                .zip(&alive)
+                                .filter(|(_, alive)| **alive)
+                            {
+                                let key = self.goal_key(&state.keys, *goal);
+                                self.cache_store(key, Validity::Valid);
                             }
                             break;
                         }
-                        Validity::Invalid(Some(model))
-                            if self.config.model_pruning
-                                && self.model_satisfies_hyps(state, &model) =>
-                        {
-                            if self.prune_candidates(&model, state, &mut alive) {
+                        Validity::Invalid(Some(model)) if model.satisfies_ids(&state.hyp_ids) => {
+                            if self.prune_by_model(&model, &state.inst_ids, &mut alive) {
                                 continue;
                             }
                             self.weaken_per_candidate(state, &mut alive);
@@ -1057,18 +992,15 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// The clause's cache-key parts (`None` with the incremental engine
-    /// off): its context's canonical form and normalized hypotheses.
-    fn keys_for(&mut self, clause_ctx: &SortCtx, hyp_ids: &[ExprId]) -> Option<ClauseKeys> {
-        if !self.config.incremental {
-            return None;
-        }
+    /// The clause's cache-key parts: its context's canonical form and
+    /// normalized hypotheses.
+    fn keys_for(&mut self, clause_ctx: &SortCtx, hyp_ids: &[ExprId]) -> ClauseKeys {
         let scope = self.canon.scope(clause_ctx);
         let hyps = hyp_ids
             .iter()
             .map(|&id| self.canon.normalize(scope, id))
             .collect();
-        Some(ClauseKeys { scope, hyps })
+        ClauseKeys { scope, hyps }
     }
 
     /// The validity-cache key of `goal` checked against `keys`' clause.
@@ -1106,25 +1038,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Discharges one validity query through the engine: consult the cache,
-    /// then the clause's session (opened lazily on the first miss).  With
-    /// `incremental` off (`keys` is `None`), queries go straight to the
-    /// one-shot solver, reproducing the historical behaviour.
+    /// then the clause's session (opened lazily on the first miss).
     fn check(
         &mut self,
         session: &mut Option<Session>,
         clause_ctx: &SortCtx,
-        keys: &Option<ClauseKeys>,
+        keys: &ClauseKeys,
         hyp_ids: &[ExprId],
         goals: &Goals<'_>,
     ) -> Validity {
         self.stats.smt_queries += 1;
-        let Some(keys) = keys else {
-            // The legacy (non-incremental) pipeline works on trees.
-            let hypotheses: Vec<Expr> = hyp_ids.iter().map(|id| id.expr()).collect();
-            return self
-                .smt
-                .check_valid_imp(clause_ctx, &hypotheses, &goals.tree());
-        };
         let key = self.goal_key(keys, goals.key_id());
         if let Some(entry) = self.cache_peek(&key) {
             self.stats.cache_hits += 1;
@@ -1149,58 +1072,14 @@ impl<'a> Engine<'a> {
         verdict
     }
 
-    /// True when `model` decidably satisfies the clause's hypotheses —
-    /// evaluated directly over the shared DAG, or (legacy mode) over tree
-    /// forms materialized per clause version.  Only a model that does can
-    /// be trusted to prune candidates.
-    fn model_satisfies_hyps(&self, state: &mut ClauseState, model: &Model) -> bool {
-        if self.config.dag_eval {
-            model.satisfies_all_ids(&state.hyp_ids)
-        } else {
-            state.materialize_trees();
-            model.satisfies_all(state.hypotheses.as_ref().unwrap())
-        }
-    }
-
-    /// Drops every surviving candidate of `state` falsified by `model`,
-    /// choosing the DAG or tree evaluator per [`FixConfig::dag_eval`].
-    /// Returns whether anything was dropped.
-    fn prune_candidates(
-        &mut self,
-        model: &Model,
-        state: &mut ClauseState,
-        alive: &mut [bool],
-    ) -> bool {
-        if self.config.dag_eval {
-            self.prune_by_model_ids(model, &state.inst_ids, alive)
-        } else {
-            state.materialize_trees();
-            let insts = state.insts.as_ref().unwrap();
-            self.prune_by_model(model, insts, alive)
-        }
-    }
-
     /// Drops every surviving candidate that decidably evaluates to `false`
     /// under `model`.  The caller has already confirmed that the model
     /// satisfies the clause's hypotheses, so each drop is exactly the
     /// verdict a per-candidate SMT query would have produced — minus the
-    /// query.  Returns whether anything was dropped.
-    fn prune_by_model(&mut self, model: &Model, insts: &[Expr], alive: &mut [bool]) -> bool {
-        let mut pruned = false;
-        for (inst, alive) in insts.iter().zip(alive.iter_mut()) {
-            if *alive && model.eval_bool(inst) == Some(false) {
-                *alive = false;
-                pruned = true;
-                self.stats.model_prunes += 1;
-            }
-        }
-        pruned
-    }
-
-    /// [`Engine::prune_by_model`] over hash-consed candidates: evaluation
-    /// runs on the shared DAG with per-call memoization, so no candidate
-    /// tree is ever materialized.
-    fn prune_by_model_ids(&mut self, model: &Model, insts: &[ExprId], alive: &mut [bool]) -> bool {
+    /// query.  Evaluation runs on the shared DAG with per-call memoization,
+    /// so no candidate tree is ever materialized.  Returns whether anything
+    /// was dropped.
+    fn prune_by_model(&mut self, model: &Model, insts: &[ExprId], alive: &mut [bool]) -> bool {
         let mut pruned = false;
         for (&inst, alive) in insts.iter().zip(alive.iter_mut()) {
             if *alive && model.eval_bool_id(inst) == Some(false) {
@@ -1239,17 +1118,9 @@ impl<'a> Engine<'a> {
                 self.stats.unknown_drops += 1;
             }
             alive[i] = false;
-            if self.config.model_pruning {
-                if let Validity::Invalid(Some(model)) = &verdict {
-                    if self.model_satisfies_hyps(state, model) {
-                        if self.config.dag_eval {
-                            let ids = &state.inst_ids[i + 1..];
-                            self.prune_by_model_ids(model, ids, &mut alive[i + 1..]);
-                        } else {
-                            let insts = state.insts.as_ref().unwrap();
-                            self.prune_by_model(model, &insts[i + 1..], &mut alive[i + 1..]);
-                        }
-                    }
+            if let Validity::Invalid(Some(model)) = &verdict {
+                if model.satisfies_ids(&state.hyp_ids) {
+                    self.prune_by_model(model, &state.inst_ids[i + 1..], &mut alive[i + 1..]);
                 }
             }
         }
@@ -1258,7 +1129,7 @@ impl<'a> Engine<'a> {
     /// Folds a finished clause session's statistics into the engine totals.
     fn close(&mut self, session: Option<Session>) {
         if let Some(session) = session {
-            self.smt.absorb(*session.stats());
+            self.smt_stats.absorb(*session.stats());
         }
     }
 }
@@ -1280,7 +1151,8 @@ pub struct FixpointSolver {
     /// across slots may vary between runs; the sum always equals
     /// `stats.smt_queries`.
     pub worker_queries: Vec<usize>,
-    smt: Solver,
+    /// Cumulative statistics of every clause session since creation.
+    smt_stats: SmtStats,
     /// The hermetic per-solver cache, used when `config.global_cache` is
     /// off; otherwise verdicts live in [`global_cache`].  Mutex-guarded so
     /// the weakening workers of one solve can share it.
@@ -1298,12 +1170,11 @@ pub struct FixpointSolver {
 impl FixpointSolver {
     /// Creates a solver with the given configuration.
     pub fn new(config: FixConfig) -> FixpointSolver {
-        let smt = Solver::new(config.smt);
         FixpointSolver {
             config,
             stats: FixStats::default(),
             worker_queries: Vec::new(),
-            smt,
+            smt_stats: SmtStats::default(),
             local_cache: Mutex::new(ValidityCache::new()),
             solver_id: next_owner(),
             epoch: 0,
@@ -1354,22 +1225,11 @@ impl FixpointSolver {
         };
         self.worker_queries.clear();
 
-        // Initial assignment: all well-sorted qualifier instantiations.
-        // Distinct qualifier templates can instantiate to the same predicate
-        // (e.g. `ν ≥ 0` from both a bound and a nonneg template), and the
-        // instantiation order gives no adjacency guarantee — dedup by
-        // hash-consed id so duplicates can't double the SMT work.
-        let mut solution = Solution::default();
-        for decl in kvars.iter() {
-            let mut candidates = Vec::new();
-            for qualifier in &self.config.qualifiers {
-                candidates.extend(qualifier.instantiate(decl));
-            }
-            let mut seen: HashSet<ExprId> = HashSet::with_capacity(candidates.len());
-            candidates.retain(|c| seen.insert(ExprId::intern(c)));
-            self.stats.initial_candidates += candidates.len();
-            solution.set(decl.id, candidates);
-        }
+        let mut solution = initial_solution(kvars, &self.config.qualifiers);
+        self.stats.initial_candidates = kvars
+            .iter()
+            .map(|decl| solution.num_conjuncts(decl.id))
+            .sum();
 
         // Audit lint: reject ill-sorted or ill-scoped constraint systems
         // before the weakening loop can silently mis-solve them (the PR 2
@@ -1475,23 +1335,12 @@ impl FixpointSolver {
             ..self.config.smt
         });
         for (ci, clause) in clauses.iter().enumerate() {
-            let mut scope = ctx.clone();
-            for (name, sort) in &clause.binders {
-                scope.push(*name, *sort);
-            }
-            let hyps: Vec<Expr> = clause
-                .guards
-                .iter()
-                .map(|g| match g {
-                    Guard::Pred(p) => p.clone(),
-                    Guard::KVar(app) => solution.apply(app, kvars),
-                })
-                .collect();
-            let (goal, blame) = match &clause.head {
-                Head::Pred(p, tag) => (p.clone(), format!("tag {tag}")),
-                Head::KVar(app) => (solution.apply(app, kvars), app.kvid.to_string()),
-            };
+            let (scope, hyps, goal) = clause_query(clause, kvars, ctx, solution);
             if let Validity::Invalid(_) = smt.check_valid_imp(&scope, &hyps, &goal) {
+                let blame = match &clause.head {
+                    Head::Pred(_, tag) => format!("tag {tag}"),
+                    Head::KVar(app) => app.kvid.to_string(),
+                };
                 panic!(
                     "FLUX_AUDIT: converged solution fails independent re-validation \
                      of clause #{ci} ({blame}): the one-shot solver refutes an \
@@ -1517,9 +1366,9 @@ impl FixpointSolver {
         let mut engine = Engine::new(self);
         engine.weaken(clauses, &all, kvars, ctx, solution);
         let checks = engine.check_concrete(clauses, &parts.concrete, kvars, ctx, solution);
-        let (stats, smt_stats, unknowns) = (engine.stats, engine.smt.stats, engine.unknowns);
+        let (stats, smt_stats, unknowns) = (engine.stats, engine.smt_stats, engine.unknowns);
         self.stats.absorb(&stats);
-        self.smt.absorb(smt_stats);
+        self.smt_stats.absorb(smt_stats);
         self.worker_queries.push(stats.smt_queries);
         (checks, unknowns)
     }
@@ -1609,7 +1458,7 @@ impl FixpointSolver {
                                 }
                                 unknowns.append(&mut engine.unknowns);
                             }
-                            (engine.stats, engine.smt.stats, unknowns)
+                            (engine.stats, engine.smt_stats, unknowns)
                         })
                     })
                     .collect();
@@ -1677,7 +1526,7 @@ impl FixpointSolver {
                                 }
                             }
                             lock_recover(&results).extend(local);
-                            (engine.stats, engine.smt.stats, engine.unknowns)
+                            (engine.stats, engine.smt_stats, engine.unknowns)
                         })
                     })
                     .collect();
@@ -1708,18 +1557,18 @@ impl FixpointSolver {
         // Deterministic merge: worker-slot order.
         for (stats, smt_stats) in &worker_stats {
             self.stats.absorb(stats);
-            self.smt.absorb(*smt_stats);
+            self.smt_stats.absorb(*smt_stats);
             self.worker_queries.push(stats.smt_queries);
         }
         reasons.extend(failures.into_inner().unwrap_or_else(|p| p.into_inner()));
         (checks, reasons)
     }
 
-    /// Cumulative statistics of the underlying SMT engine (all sessions and
-    /// one-shot queries) since creation; exposed for benchmarking and for
-    /// the end-to-end reporting in `flux-check`.
-    pub fn smt_stats(&self) -> flux_smt::SmtStats {
-        self.smt.stats
+    /// Cumulative statistics of the underlying SMT engine (all clause
+    /// sessions) since creation; exposed for benchmarking and for the
+    /// end-to-end reporting in `flux-check`.
+    pub fn smt_stats(&self) -> SmtStats {
+        self.smt_stats
     }
 }
 
@@ -1736,6 +1585,49 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The initial assignment: every κ gets all well-sorted instantiations of
+/// `qualifiers`.  Distinct qualifier templates can instantiate to the same
+/// predicate (e.g. `ν ≥ 0` from both a bound and a nonneg template), and the
+/// instantiation order gives no adjacency guarantee — dedup by hash-consed
+/// id so duplicates can't double the SMT work.
+pub(crate) fn initial_solution(kvars: &KVarStore, qualifiers: &[Qualifier]) -> Solution {
+    let mut solution = Solution::default();
+    for decl in kvars.iter() {
+        let mut candidates = Vec::new();
+        for qualifier in qualifiers {
+            candidates.extend(qualifier.instantiate(decl));
+        }
+        let mut seen: HashSet<ExprId> = HashSet::with_capacity(candidates.len());
+        candidates.retain(|c| seen.insert(ExprId::intern(c)));
+        solution.set(decl.id, candidates);
+    }
+    solution
+}
+
+/// `clause` under `solution` as one validity query over trees: its scope
+/// (`ctx` plus the clause binders), its hypotheses, and its goal — the head
+/// predicate, or the head κ's whole assignment at its arguments.
+pub(crate) fn clause_query(
+    clause: &Clause,
+    kvars: &KVarStore,
+    ctx: &SortCtx,
+    solution: &Solution,
+) -> (SortCtx, Vec<Expr>, Expr) {
+    let hyps = clause
+        .guards
+        .iter()
+        .map(|g| match g {
+            Guard::Pred(p) => p.clone(),
+            Guard::KVar(app) => solution.apply(app, kvars),
+        })
+        .collect();
+    let goal = match &clause.head {
+        Head::Pred(p, _) => p.clone(),
+        Head::KVar(app) => solution.apply(app, kvars),
+    };
+    (clause_ctx(clause, ctx), hyps, goal)
 }
 
 fn clause_ctx(clause: &Clause, ctx: &SortCtx) -> SortCtx {
@@ -1946,87 +1838,62 @@ mod tests {
         );
     }
 
-    /// The incremental engine (sessions + validity cache) and one-shot
-    /// solving must produce identical results, and the incremental run must
-    /// actually exercise the cache and sessions.
+    /// Solves `c` with the engine under `config` and with the one-shot
+    /// reference, asserts that both reach the same result, and returns the
+    /// engine's statistics and the reference's query count.
+    fn engine_and_reference(
+        c: &Constraint,
+        kvars: &KVarStore,
+        config: FixConfig,
+    ) -> (FixStats, usize) {
+        let mut smt = Solver::new(config.smt);
+        let expected = crate::reference(c, kvars, &SortCtx::new(), &config.qualifiers, &mut smt);
+        let mut engine = FixpointSolver::new(config);
+        let result = engine.solve(c, kvars, &SortCtx::new());
+        assert_eq!(result, expected, "the engine diverged from the reference");
+        (engine.stats, smt.stats.queries)
+    }
+
+    /// The engine (sessions plus validity cache) must reach exactly the
+    /// one-shot reference's result, and actually exercise its cache and
+    /// sessions.
     #[test]
     fn incremental_engine_matches_one_shot_and_hits_cache() {
         let (c, kvars) = loop_counter_system();
-
-        // Model pruning is disabled on both sides: counter-models (and
-        // hence which per-candidate queries are skipped) may differ between
-        // the session and one-shot pipelines, and this test pins the
-        // *query-for-query* equivalence of the two engines.  The global
-        // cache is disabled because the test asserts miss/session counts,
-        // which other tests solving the same system would perturb.
-        let mut incremental = FixpointSolver::new(FixConfig {
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let inc_result = incremental.solve(&c, &kvars, &SortCtx::new());
-
-        let mut one_shot = FixpointSolver::new(FixConfig {
-            incremental: false,
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let os_result = one_shot.solve(&c, &kvars, &SortCtx::new());
-
-        assert_eq!(inc_result, os_result);
-        assert_eq!(incremental.stats.smt_queries, one_shot.stats.smt_queries);
+        // The global cache is disabled because the test asserts miss and
+        // session counts, which other tests solving the same system would
+        // perturb.
+        let (stats, _) = engine_and_reference(&c, &kvars, hermetic(1));
         assert!(
-            incremental.stats.cache_hits > 0,
-            "iterative weakening repeats queries; expected cache hits, stats: {:?}",
-            incremental.stats
+            stats.cache_hits > 0,
+            "iterative weakening repeats queries; expected cache hits, stats: {stats:?}"
         );
-        assert!(incremental.stats.sessions > 0);
-        assert_eq!(
-            incremental.stats.cache_hits + incremental.stats.cache_misses,
-            incremental.stats.smt_queries
-        );
+        assert!(stats.sessions > 0);
+        assert_eq!(stats.cache_hits + stats.cache_misses, stats.smt_queries);
         // Sessions only open on cache misses, at most one per clause visit.
-        assert!(incremental.stats.sessions <= incremental.stats.cache_misses);
-        assert_eq!(one_shot.stats.cache_hits, 0);
-        assert_eq!(one_shot.stats.sessions, 0);
+        assert!(stats.sessions <= stats.cache_misses);
     }
 
-    /// Counter-model-guided weakening must reach exactly the same fixpoint
-    /// as the per-candidate loop — same solution, same safety verdict —
-    /// while actually pruning candidates and issuing fewer SMT queries.
+    /// Counter-model-guided weakening must reach exactly the reference's
+    /// fixpoint — same solution, same safety verdict — while actually
+    /// pruning candidates and issuing fewer SMT queries than the
+    /// reference's one query per refuted candidate.
     #[test]
     fn model_pruning_preserves_the_fixpoint_with_fewer_queries() {
         let (c, kvars) = loop_counter_system();
-
         // Hermetic caches: the test counts prunes and queries, which a
         // warm global cache (from other tests on the same system) would
         // silently answer instead.
-        let mut pruning = FixpointSolver::new(FixConfig {
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let pruned_result = pruning.solve(&c, &kvars, &SortCtx::new());
-
-        let mut exhaustive = FixpointSolver::new(FixConfig {
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let exhaustive_result = exhaustive.solve(&c, &kvars, &SortCtx::new());
-
-        assert_eq!(pruned_result, exhaustive_result);
+        let (stats, reference_queries) = engine_and_reference(&c, &kvars, hermetic(1));
         assert!(
-            pruning.stats.model_prunes > 0,
+            stats.model_prunes > 0,
             "weakening this system must prune at least one candidate by \
-             counter-model evaluation, stats: {:?}",
-            pruning.stats
+             counter-model evaluation, stats: {stats:?}"
         );
         assert!(
-            pruning.stats.smt_queries < exhaustive.stats.smt_queries,
-            "pruning must save SMT queries: {} vs {}",
-            pruning.stats.smt_queries,
-            exhaustive.stats.smt_queries
+            stats.smt_queries < reference_queries,
+            "pruning must save SMT queries: {} vs {reference_queries}",
+            stats.smt_queries
         );
     }
 

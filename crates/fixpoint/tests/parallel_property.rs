@@ -7,8 +7,8 @@
 //! known by construction; the partitioner must recover exactly it, must
 //! never co-schedule two clauses from different planted chains, and must
 //! never split two clauses that share a κ.  On top of the structural
-//! property, the parallel and sequential engines must reach identical
-//! fixpoints on every generated system.
+//! property, the parallel and sequential engines and the one-shot reference
+//! solver must reach identical fixpoints on every generated system.
 //!
 //! The environment has no crates.io access, so instead of proptest this
 //! uses the workspace's deterministic xorshift generator
@@ -19,6 +19,7 @@ use flux_fixpoint::{
 };
 use flux_logic::{Expr, Name, Sort, SortCtx};
 use flux_smt::testing::Rng;
+use flux_smt::Solver;
 use std::collections::BTreeSet;
 
 /// One planted component: a chain of κs over fresh names, κ_{j+1} guarded
@@ -190,19 +191,32 @@ fn partitioner_recovers_planted_components_and_fixpoints_agree() {
             }
         }
 
-        // The parallel and sequential engines must reach identical
-        // fixpoints (solution, verdict, blame) on every generated system.
-        let mut sequential = FixpointSolver::new(hermetic(1));
-        let reference = sequential.solve(&constraint, &kvars, &SortCtx::new());
+        // The parallel and sequential engines and the one-shot reference
+        // must reach identical fixpoints (solution, verdict, blame) on every
+        // generated system.
+        let config = hermetic(1);
+        let mut sequential = FixpointSolver::new(config.clone());
+        let expected = sequential.solve(&constraint, &kvars, &SortCtx::new());
+        assert_eq!(
+            expected,
+            flux_fixpoint::reference(
+                &constraint,
+                &kvars,
+                &SortCtx::new(),
+                &config.qualifiers,
+                &mut Solver::new(config.smt),
+            ),
+            "seed {seed}: the sequential engine diverged from the one-shot reference"
+        );
         for threads in [2, 4] {
             let mut parallel = FixpointSolver::new(hermetic(threads));
             let result = parallel.solve(&constraint, &kvars, &SortCtx::new());
             assert_eq!(
-                result, reference,
+                result, expected,
                 "seed {seed}: threads={threads} diverged from the sequential fixpoint"
             );
         }
-        if reference.is_safe() {
+        if expected.is_safe() {
             safe_seen += 1;
         } else {
             unsafe_seen += 1;

@@ -89,8 +89,7 @@ pub struct QueryStats {
     pub blocked_visits: usize,
     /// Learned-clause-database reductions performed by the SAT cores.
     pub db_reductions: usize,
-    /// Simplex column traversals driven by the occurrence lists (or row
-    /// scans in legacy mode).
+    /// Simplex column traversals driven by the occurrence lists.
     pub col_scans: usize,
     /// Hypothesis conjuncts retracted from live sessions instead of
     /// rebuilding the session when a depended-on κ weakened (Flux

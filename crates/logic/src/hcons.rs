@@ -1110,7 +1110,7 @@ mod tests {
     /// expressions and random (partial) models, including the undecidable
     /// cases: `None` on one side must be `None` on the other.
     #[test]
-    fn dag_evaluate_agrees_with_tree_evaluate() {
+    fn evaluation_on_the_dag_agrees_with_the_tree_evaluator() {
         use crate::eval::{evaluate, Value};
         let _guard = serial();
 

@@ -64,22 +64,6 @@ pub use session::{
 pub use simplex::LiaConfig;
 pub use solver::{MaxTheoryRounds, Model, SatOutcome, SmtConfig, SmtStats, Solver, Validity};
 
-/// True when the `FLUX_LEGACY` environment variable selects the historical
-/// engine paths: scan-based SAT propagation, no blocking literals, no
-/// learned-clause-DB reduction, full-row simplex scans, and (in the layers
-/// above) tree-based counter-model evaluation and session rebuild instead
-/// of conjunct retraction.  Every default-configured solver consults this
-/// once (the variable is read a single time per process), so CI can run the
-/// whole suite with the legacy toggles flipped in one environment line.
-/// Any non-empty value other than `0` enables legacy mode.
-pub fn legacy_toggles() -> bool {
-    static LEGACY: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *LEGACY.get_or_init(|| match std::env::var("FLUX_LEGACY") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    })
-}
-
 #[cfg(test)]
 mod randtests {
     //! Randomised differential tests against the brute-force evaluator.
@@ -192,7 +176,10 @@ mod randtests {
             let ctx = ctx();
             let domain: Vec<i128> = (-3..=3).collect();
             let mut solver = Solver::with_defaults();
-            if solver.check_valid_imp(&ctx, &[h.clone()], &g).is_valid() {
+            if solver
+                .check_valid_imp(&ctx, std::slice::from_ref(&h), &g)
+                .is_valid()
+            {
                 let negated = Expr::and(h, Expr::binop(BinOp::And, Expr::not(g), Expr::tt()));
                 assert_ne!(
                     testing::brute_force_sat(&ctx, &negated, &domain),
@@ -214,9 +201,10 @@ mod randtests {
             let g2 = gen_expr(&mut rng, 3);
             let ctx = ctx();
             let mut one_shot = Solver::with_defaults();
-            let mut session = Session::assume(SmtConfig::default(), &ctx, &[h.clone()]);
+            let hyps = std::slice::from_ref(&h);
+            let mut session = Session::assume(SmtConfig::default(), &ctx, hyps);
             for goal in [&g1, &g2] {
-                let reference = one_shot.check_valid_imp(&ctx, &[h.clone()], goal);
+                let reference = one_shot.check_valid_imp(&ctx, hyps, goal);
                 let incremental = session.check(goal);
                 assert_eq!(
                     incremental.is_valid(),
@@ -251,8 +239,9 @@ mod randtests {
             let ctx = ctx();
             let mut plain = Solver::new(plain_config);
             let mut audited = Solver::new(audited_config);
-            let reference = plain.check_valid_imp(&ctx, &[h.clone()], &g);
-            let checked = audited.check_valid_imp(&ctx, &[h.clone()], &g);
+            let hyps = std::slice::from_ref(&h);
+            let reference = plain.check_valid_imp(&ctx, hyps, &g);
+            let checked = audited.check_valid_imp(&ctx, hyps, &g);
             assert_eq!(
                 checked.is_valid(),
                 reference.is_valid(),

@@ -277,10 +277,13 @@ pub enum Fault {
     Delay,
 }
 
-/// A deterministic fault plan: a seed plus per-site probabilities in
+/// A deterministic fault plan: a seed plus per-fault-kind probabilities in
 /// permille (0–1000).  Installed process-globally by [`install_fault_plan`];
 /// the instrumented sites draw from a shared [`Rng`], so a given seed
-/// reproduces the same fault sequence for a deterministic workload.
+/// reproduces the same fault sequence for a deterministic workload.  The
+/// bands are the same at every site: a site that draws a kind it cannot
+/// honour ignores it, so e.g. `panic_permille: 1000` panics exactly the
+/// sites that honour [`Fault::Panic`] and leaves the rest fault-free.
 ///
 /// Instrumented sites as of PR 9: `sat`, `simplex`, `session`, `worker`
 /// and `cnf-cache` inside the solving stack, plus `daemon` (worker

@@ -1,29 +1,41 @@
-//! Deterministic fault-injection fuzz (PR 8): seeded fault plans inject
-//! spurious solver `Unknown`s, worker panics and lock-hold delays at the
-//! engine's choke points while full fixpoint solves run on two worker
-//! threads.  Three properties, checked across every seed:
+//! Deterministic fault-injection fuzz: seeded fault plans inject spurious
+//! solver `Unknown`s, worker panics and lock-hold delays at the engine's
+//! choke points while full fixpoint solves run on two worker threads.  Four
+//! properties, checked across every seed:
 //!
 //! 1. **No panic escapes** — injected worker panics are contained by the
 //!    scheduler; the solve returns a structured result.
 //! 2. **No hang** — the whole fuzz loop runs under a watchdog.
 //! 3. **No false verification** — a faulted run may report a system safe
 //!    only when the fault-free run does too.
+//! 4. **No false rejection** — a faulted run may report a system `Unsafe`
+//!    only when the fault-free run does too.  One system component has a
+//!    concrete head provable only through its κ, so a weakening worker
+//!    that panics (losing the κ, which then reads as `true`) must degrade
+//!    the solve to `Unknown` rather than blame the program.  A plan that
+//!    panics every weakening worker pins this deterministically.
 //!
 //! The fault plan is process-global, so this file holds a single test; the
 //! seed count is `FLUX_FAULT_SEEDS` (default 100).
 
-use flux_fixpoint::{Constraint, FixConfig, FixpointSolver, Guard, KVarApp, KVarStore};
+use flux_fixpoint::{
+    Constraint, FixConfig, FixResult, FixpointSolver, Guard, KVarApp, KVarStore, UnknownReason,
+};
 use flux_logic::{env_parse, Expr, Name, Sort, SortCtx};
 use flux_smt::testing::{clear_fault_plan, install_fault_plan, with_watchdog, FaultPlan};
 
-/// Two independent κ components (so the parallel scheduler actually spawns
-/// workers at `threads: 2`) with a shared entry bound.  `safe` selects
-/// whether the concrete head is provable.
+/// Three independent κ components (so the parallel scheduler actually
+/// spawns workers at `threads: 2`).  Two share an entry bound, and `safe`
+/// selects whether their concrete heads are provable.  The third's concrete
+/// head holds only through its κ: `y ≥ 5 ⟹ κ(y)` and `κ(z) ⟹ z > 0`.
 fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
     let mut kvars = KVarStore::new();
     let k1 = kvars.fresh(vec![Sort::Int]);
     let k2 = kvars.fresh(vec![Sort::Int]);
+    let k3 = kvars.fresh(vec![Sort::Int]);
     let x = Name::intern(&format!("fi_{salt}_x"));
+    let y = Name::intern(&format!("fi_{salt}_y"));
+    let z = Name::intern(&format!("fi_{salt}_z"));
     let bound = if safe { 0 } else { 100 };
     let component = |k: flux_fixpoint::KVid, off: i128| {
         Constraint::conj(vec![
@@ -37,16 +49,33 @@ fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
             ),
         ])
     };
-    let c = Constraint::forall(
-        x,
-        Sort::Int,
-        Expr::ge(Expr::var(x), Expr::int(5)),
-        Constraint::conj(vec![component(k1, 0), component(k2, 1)]),
-    );
+    let c = Constraint::conj(vec![
+        Constraint::forall(
+            x,
+            Sort::Int,
+            Expr::ge(Expr::var(x), Expr::int(5)),
+            Constraint::conj(vec![component(k1, 0), component(k2, 1)]),
+        ),
+        Constraint::forall(
+            y,
+            Sort::Int,
+            Expr::ge(Expr::var(y), Expr::int(5)),
+            Constraint::kvar(KVarApp::new(k3, vec![Expr::var(y)])),
+        ),
+        Constraint::forall(
+            z,
+            Sort::Int,
+            Expr::tt(),
+            Constraint::implies(
+                Guard::KVar(KVarApp::new(k3, vec![Expr::var(z)])),
+                Constraint::pred(Expr::gt(Expr::var(z), Expr::int(0)), 2),
+            ),
+        ),
+    ]);
     (c, kvars)
 }
 
-fn solve(c: &Constraint, kvars: &KVarStore) -> flux_fixpoint::FixResult {
+fn solve(c: &Constraint, kvars: &KVarStore) -> FixResult {
     let mut solver = FixpointSolver::new(FixConfig {
         threads: 2,
         ..FixConfig::default()
@@ -85,6 +114,27 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
             );
         }
 
+        // Every weakening worker panics: every κ is lost, and the third
+        // component's head fails without its κ.  Only the `worker` site
+        // honours `Panic` (the solver sites honour only `Unknown`, the
+        // cache site only `Delay`), so the outcome is deterministic.
+        install_fault_plan(FaultPlan {
+            seed: 1,
+            panic_permille: 1000,
+            ..FaultPlan::default()
+        });
+        for (i, safe) in [(0usize, true), (1usize, false)] {
+            let (c, kvars) = system(&format!("all_panic_v{i}"), safe);
+            let result = solve(&c, &kvars);
+            assert!(
+                matches!(&result, FixResult::Unknown { reasons, .. }
+                    if reasons.iter().any(|r| matches!(r, UnknownReason::WorkerPanic { .. }))),
+                "system {i}: a solve whose weakening workers all panicked must be \
+                 Unknown with the panic as a reason: {result:?}"
+            );
+        }
+        clear_fault_plan();
+
         let seeds = env_parse("FLUX_FAULT_SEEDS", 100u64);
         for seed in 1..=seeds {
             install_fault_plan(FaultPlan {
@@ -103,18 +153,15 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                 // Any panic escaping `solve` fails the test right here —
                 // containment is the property, not an accident.
                 let result = solve(&c, &kvars);
-                if safe {
-                    assert!(
-                        !matches!(result, flux_fixpoint::FixResult::Unsafe { .. }),
-                        "seed {seed}: faults fabricated a counterexample for a \
-                         safe system: {result:?}"
-                    );
-                } else {
-                    assert!(
-                        !result.is_safe(),
-                        "seed {seed}: faults made an unsafe system verify: {result:?}"
-                    );
-                }
+                assert!(
+                    !matches!(result, FixResult::Unsafe { .. })
+                        || matches!(reference_results[i], FixResult::Unsafe { .. }),
+                    "seed {seed}: faults fabricated a counterexample: {result:?}"
+                );
+                assert!(
+                    !result.is_safe() || reference_results[i].is_safe(),
+                    "seed {seed}: faults made an unsafe system verify: {result:?}"
+                );
             }
             clear_fault_plan();
         }

@@ -1,63 +1,64 @@
 //! Acceptance tests for the incremental query engine: session-based solving
-//! plus the validity cache must produce identical Safe/Unsafe verdicts to
-//! one-shot solving across the entire benchmark corpus, and the Table 1
-//! workload must actually exercise the cache.
+//! plus the validity cache must reach exactly the fixpoint of the one-shot
+//! reference solver (`flux_fixpoint::reference`) on every function of the
+//! benchmark corpus, and the Table 1 workload must actually exercise the
+//! cache.
 
 use flux::{verify_source, FixConfig, Mode, VerifyConfig};
+use flux_check::checker::Generator;
+use flux_fixpoint::FixpointSolver;
+use flux_logic::SortCtx;
+use flux_smt::Solver;
 
-/// Counter-model pruning is disabled on both sides of this test: the
-/// session and one-shot pipelines may produce different counter-models (and
-/// hence skip different per-candidate queries), and this test pins the
-/// *query-for-query* equivalence of the two engines.  Verdict equivalence
-/// with pruning enabled is covered by `model_pruning_equivalence.rs`.  The
-/// process-global verdict cache is disabled too, so whatever other tests in
-/// this binary have already proved cannot blur the comparison.
-fn no_pruning(incremental: bool) -> VerifyConfig {
-    let mut config = VerifyConfig::default();
-    config.check.fixpoint = FixConfig {
-        incremental,
-        model_pruning: false,
+/// Every corpus function's constraint system, solved by the engine and by
+/// the one-shot reference: the solution and the blamed tags must be
+/// identical.  The engine's process-global verdict cache is disabled, so
+/// whatever other tests in this binary have already proved cannot stand in
+/// for the engine's own work.
+#[test]
+fn incremental_and_one_shot_agree_on_the_whole_corpus() {
+    let config = FixConfig {
         global_cache: false,
         ..FixConfig::default()
     };
-    config
-}
-
-#[test]
-fn incremental_and_one_shot_agree_on_the_whole_corpus() {
-    let incremental = no_pruning(true);
-    let one_shot = no_pruning(false);
     for b in flux::benchmarks() {
-        let inc = verify_source(b.flux_src, Mode::Flux, &incremental)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        let os = verify_source(b.flux_src, Mode::Flux, &one_shot)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        assert_eq!(
-            inc.safe, os.safe,
-            "{}: incremental engine and one-shot solving disagree (incremental errors: {:?}, \
-             one-shot errors: {:?})",
-            b.name, inc.errors, os.errors
-        );
-        assert_eq!(
-            inc.errors, os.errors,
-            "{}: verdicts agree but blamed obligations differ",
-            b.name
-        );
-        // Both engines answer exactly the same questions.
-        assert_eq!(
-            inc.stats.smt_queries, os.stats.smt_queries,
-            "{}: engines asked different numbers of queries",
-            b.name
-        );
-        assert_eq!(
-            inc.stats.cache_hits + inc.stats.cache_misses,
-            inc.stats.smt_queries,
-            "{}: hits + misses must account for every query",
-            b.name
-        );
-        // One-shot mode must not touch the cache or open clause sessions.
-        assert_eq!(os.stats.cache_hits, 0, "{}", b.name);
-        assert_eq!(os.stats.sessions, 0, "{}", b.name);
+        let program = flux_syntax::parse_program(b.flux_src)
+            .unwrap_or_else(|e| panic!("{}: parse error {e:?}", b.name));
+        let resolved = flux_ir::ResolvedProgram::resolve(&program)
+            .unwrap_or_else(|e| panic!("{}: resolve error {e:?}", b.name));
+        for func in resolved.iter() {
+            if func.def.trusted {
+                continue;
+            }
+            let name = &func.def.name;
+            let gen = Generator::new(&resolved)
+                .gen_function(name)
+                .unwrap_or_else(|e| panic!("{}/{name}: genexpr error {e:?}", b.name));
+            let ctx = SortCtx::new();
+            let mut engine = FixpointSolver::new(config.clone());
+            let result = engine.solve(&gen.constraint, &gen.kvars, &ctx);
+            let mut smt = Solver::new(config.smt);
+            let expected = flux_fixpoint::reference(
+                &gen.constraint,
+                &gen.kvars,
+                &ctx,
+                &config.qualifiers,
+                &mut smt,
+            );
+            assert_eq!(
+                result, expected,
+                "{}/{name}: the engine's fixpoint (solution or blame) diverged from the \
+                 one-shot reference",
+                b.name
+            );
+            let stats = engine.stats;
+            assert_eq!(
+                stats.cache_hits + stats.cache_misses,
+                stats.smt_queries,
+                "{}/{name}: hits + misses must account for every query",
+                b.name
+            );
+        }
     }
 }
 

@@ -1,59 +1,62 @@
 //! Acceptance tests for counter-model-guided weakening and the persistent
-//! CDCL core: with both enabled (the default) the verifier must produce
-//! exactly the same verdicts and blamed obligations as the historical
-//! engine (no pruning, one-shot pipeline per query) across the entire
-//! benchmark corpus — while measurably pruning candidates, reusing SAT
-//! state, and issuing fewer SMT queries.
-//!
-//! The solution-level counterpart (identical inferred invariants, not just
-//! identical verdicts) is pinned by
-//! `flux_fixpoint::solve::tests::model_pruning_preserves_the_fixpoint_with_fewer_queries`.
+//! CDCL core: the engine must reach exactly the fixpoint of the one-shot
+//! reference solver (`flux_fixpoint::reference`: no cache, no session, no
+//! pruning) on every function of the benchmark corpus — same solution, same
+//! blamed tags — while measurably pruning candidates, reusing SAT state, and
+//! issuing fewer SMT queries than the reference.
 
-use flux::{verify_source, FixConfig, Mode, VerifyConfig};
-
-/// The engine as it was before counter-model pruning: per-candidate
-/// weakening queries through the one-shot pipeline.
-fn legacy_config() -> VerifyConfig {
-    let mut config = VerifyConfig::default();
-    config.check.fixpoint = FixConfig {
-        incremental: false,
-        model_pruning: false,
-        ..FixConfig::default()
-    };
-    config
-}
+use flux_check::checker::Generator;
+use flux_fixpoint::{FixConfig, FixpointSolver};
+use flux_logic::SortCtx;
+use flux_smt::Solver;
 
 #[test]
 fn pruning_and_persistent_core_change_no_verdict_on_the_corpus() {
-    let current = VerifyConfig::default();
-    let legacy = legacy_config();
+    // Hermetic caches: the test counts prunes and queries, which a warm
+    // global cache (from other tests in this binary) would answer instead.
+    let config = FixConfig {
+        global_cache: false,
+        ..FixConfig::default()
+    };
     let mut total_prunes = 0;
     let mut total_sat_reuse = 0;
-    let mut current_queries = 0;
-    let mut legacy_queries = 0;
+    let mut engine_queries = 0;
+    let mut reference_queries = 0;
     for b in flux::benchmarks() {
-        let new = verify_source(b.flux_src, Mode::Flux, &current)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        let old = verify_source(b.flux_src, Mode::Flux, &legacy)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        assert_eq!(
-            new.safe, old.safe,
-            "{}: pruning/persistent-core engine and legacy engine disagree \
-             (new errors: {:?}, legacy errors: {:?})",
-            b.name, new.errors, old.errors
-        );
-        assert_eq!(
-            new.errors, old.errors,
-            "{}: verdicts agree but blamed obligations differ",
-            b.name
-        );
-        total_prunes += new.stats.model_prunes;
-        total_sat_reuse += new.stats.sat_reuse;
-        current_queries += new.stats.smt_queries;
-        legacy_queries += old.stats.smt_queries;
-        // The legacy path must not report any of the new machinery.
-        assert_eq!(old.stats.model_prunes, 0, "{}", b.name);
-        assert_eq!(old.stats.sat_reuse, 0, "{}", b.name);
+        let program = flux_syntax::parse_program(b.flux_src)
+            .unwrap_or_else(|e| panic!("{}: parse error {e:?}", b.name));
+        let resolved = flux_ir::ResolvedProgram::resolve(&program)
+            .unwrap_or_else(|e| panic!("{}: resolve error {e:?}", b.name));
+        for func in resolved.iter() {
+            if func.def.trusted {
+                continue;
+            }
+            let name = &func.def.name;
+            let gen = Generator::new(&resolved)
+                .gen_function(name)
+                .unwrap_or_else(|e| panic!("{}/{name}: genexpr error {e:?}", b.name));
+            let ctx = SortCtx::new();
+            let mut engine = FixpointSolver::new(config.clone());
+            let result = engine.solve(&gen.constraint, &gen.kvars, &ctx);
+            let mut smt = Solver::new(config.smt);
+            let expected = flux_fixpoint::reference(
+                &gen.constraint,
+                &gen.kvars,
+                &ctx,
+                &config.qualifiers,
+                &mut smt,
+            );
+            assert_eq!(
+                result, expected,
+                "{}/{name}: the pruning/persistent-core engine diverged from the one-shot \
+                 reference (solution or blame)",
+                b.name
+            );
+            total_prunes += engine.stats.model_prunes;
+            total_sat_reuse += engine.smt_stats().sat_reuse;
+            engine_queries += engine.stats.smt_queries;
+            reference_queries += smt.stats.queries;
+        }
     }
     assert!(
         total_prunes > 0,
@@ -64,23 +67,7 @@ fn pruning_and_persistent_core_change_no_verdict_on_the_corpus() {
         "the corpus must exercise persistent-core reuse"
     );
     assert!(
-        current_queries < legacy_queries,
-        "pruning must reduce SMT queries corpus-wide: {current_queries} vs {legacy_queries}"
+        engine_queries < reference_queries,
+        "pruning must reduce SMT queries corpus-wide: {engine_queries} vs {reference_queries}"
     );
-}
-
-#[test]
-fn baseline_verdicts_are_unaffected_by_fixpoint_toggles() {
-    // The baseline verifier shares the SMT engine (sessions, persistent
-    // core) but not the fixpoint loop; its verdicts must be stable too.
-    let current = VerifyConfig::default();
-    let legacy = legacy_config();
-    for b in flux::benchmarks() {
-        let new = verify_source(b.baseline_src, Mode::Baseline, &current)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        let old = verify_source(b.baseline_src, Mode::Baseline, &legacy)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        assert_eq!(new.safe, old.safe, "{}", b.name);
-        assert_eq!(new.errors, old.errors, "{}", b.name);
-    }
 }
