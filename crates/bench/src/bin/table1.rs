@@ -21,12 +21,11 @@
 //! object; `--no-gate` skips the comparison, e.g. when a regression is
 //! intentional and the snapshot is being re-baselined.
 //!
-//! `--threads N` pins both parallel pools — the clause-level workers inside
-//! each fixpoint solve and the function-level fan-out above them (the
-//! default for each is the `FLUX_THREADS` environment variable, else the
+//! `--threads N` sets the width of the function fan-out, the one worker
+//! pool (the default is the `FLUX_THREADS` environment variable, else the
 //! machine's available parallelism); the run's effective parallelism is
-//! recorded per benchmark in the JSON (`threads`, `fn_threads`,
-//! `partitions`, `worker_queries`, `fn_times_ms`, `shard_contention`).
+//! recorded per benchmark in the JSON (`fn_threads`, `fn_times_ms`,
+//! `shard_contention`).
 //!
 //! `--audit [TIER]` runs both verifiers under the audit layer (`lint`, or
 //! `full` when the operand is omitted): every obligation is sort- and
@@ -443,10 +442,7 @@ fn main() -> ExitCode {
     }
     let mut config = flux::VerifyConfig::default();
     if let Some(threads) = threads {
-        // One flag pins both pools: the clause-level workers inside each
-        // fixpoint solve and the function-level fan-out above them.
         config.check.fixpoint.threads = threads;
-        config.check.fn_threads = threads;
     }
     if let Some(tier) = audit {
         config.check.fixpoint.smt.audit = tier;
@@ -472,15 +468,12 @@ fn main() -> ExitCode {
     }
     if daemon_mode && gate_enabled {
         // Daemon-routed responses carry a reduced statistics block (no
-        // per-worker queries, no pivot counts), so the rows are not
-        // comparable to a committed in-process snapshot.
+        // pivot counts), so the rows are not comparable to a committed
+        // in-process snapshot.
         println!("perf gate: skipped (daemon-routed runs report reduced statistics)");
         gate_enabled = false;
     }
-    println!(
-        "fixpoint worker threads: {} (function fan-out: {})",
-        config.check.fixpoint.threads, config.check.fn_threads
-    );
+    println!("function fan-out width: {}", config.check.fixpoint.threads);
     println!("audit tier: {}", config.check.fixpoint.smt.audit);
     let rows = if daemon_mode {
         match daemon_table1(deadline_ms, budget_steps) {

@@ -62,7 +62,6 @@ mod audit;
 mod cache;
 mod constraint;
 mod kvar;
-pub mod partition;
 mod qualifier;
 mod reference;
 mod solve;
@@ -80,11 +79,8 @@ pub use cache::{
 };
 pub use constraint::{Clause, Constraint, Guard, Head, Tag};
 pub use kvar::{KVarApp, KVarDecl, KVarStore, KVid};
-pub use partition::{partition, Partition};
 pub use qualifier::{default_qualifiers, well_sorted, Qualifier};
 pub use reference::reference;
-#[doc(hidden)]
-pub use solve::panic_message;
 pub use solve::{
     default_threads, shard_contentions, FixConfig, FixResult, FixStats, FixpointSolver, Solution,
     UnknownReason,

@@ -5,11 +5,11 @@
 //! exactly as the engine does, then drops every candidate of a κ-head clause
 //! that one [`Solver::check_valid_imp`] call cannot prove from the clause's
 //! hypotheses, until nothing changes; finally it checks the concrete heads.
-//! There is no validity cache, no session, no counter-model pruning and no
-//! partitioning.  Houdini's fixpoint is the greatest inductive subset of the
-//! initial candidates, whatever the visit order, so on decided queries the
-//! engine must return exactly this [`FixResult`]: the same solution and the
-//! same blamed tags.
+//! There is no validity cache, no session and no counter-model pruning.
+//! Houdini's fixpoint is the greatest inductive subset of the initial
+//! candidates, whatever the visit order, so on decided queries the engine
+//! must return exactly this [`FixResult`]: the same solution and the same
+//! blamed tags.
 
 use crate::constraint::{Constraint, Head, Tag};
 use crate::kvar::KVarStore;

@@ -97,21 +97,13 @@ pub struct QueryStats {
     pub conjunct_retractions: usize,
     /// Quantifier instances generated (baseline verifier only).
     pub quant_instances: usize,
-    /// Worker-thread cap of the *clause-level* fixpoint scheduler
-    /// ([`flux_fixpoint::FixConfig::threads`]; Flux mode only — the
-    /// baseline verifier is single-threaded and reports 1).  The
-    /// function-level pool is reported separately in
-    /// [`QueryStats::fn_threads`]: the two widths compose (total potential
-    /// parallelism is their product), so collapsing them into one figure
-    /// would misreport both.
-    pub threads: usize,
-    /// Worker-thread width of the *function-level* fan-out in
-    /// `check_program` ([`flux_check::CheckConfig::fn_threads`], clamped to
-    /// the function count; Flux mode only — the baseline reports 1).
+    /// Width of the function fan-out in `check_program`
+    /// ([`flux_fixpoint::FixConfig::threads`], clamped to the function
+    /// count; Flux mode only — the baseline reports 1).
     pub fn_threads: usize,
     /// Per-function wall-clock check times in milliseconds, in source order
     /// (the `fn_parallel` column: where the wall-clock went under the
-    /// function-level fan-out; Flux mode only, empty for the baseline).
+    /// function fan-out; Flux mode only, empty for the baseline).
     pub fn_times_ms: Vec<usize>,
     /// Times a thread found a process-global cache-shard lock (validity
     /// shards, CNF shards, hcons interner) held by another thread during
@@ -120,12 +112,6 @@ pub struct QueryStats {
     /// ([`flux_check::Report::shard_contention`]), so concurrent solves are
     /// not double-counted.  Near zero in sequential runs.
     pub shard_contention: usize,
-    /// Independent κ-dependency components across all fixpoint solves (the
-    /// available weakening parallelism; Flux mode only).
-    pub partitions: usize,
-    /// SMT queries issued per worker slot, summed across all fixpoint
-    /// solves of the run (Flux mode only; empty for the baseline).
-    pub worker_queries: Vec<usize>,
     /// Obligations sort-/scope-checked by the audit lint (zero unless the
     /// audit tier is at least `lint`; see `FLUX_AUDIT`).
     pub lint_checks: usize,
@@ -137,7 +123,7 @@ pub struct QueryStats {
     /// unless the audit tier is `full`; Flux mode only).
     pub revalidations: usize,
     /// Functions whose solve degraded to an inconclusive result because a
-    /// deadline or step budget ran out or a worker panicked (zero under the
+    /// deadline or step budget ran out or the solve panicked (zero under the
     /// default unlimited budgets; Flux mode only — the baseline reports
     /// budget stops through `budget_exhausted`).
     pub unknowns: usize,
@@ -234,7 +220,6 @@ pub fn verify_source(
                     col_scans: smt.col_scans,
                     conjunct_retractions: smt.conjunct_retractions,
                     quant_instances: smt.quant_instances,
-                    threads: fix.threads,
                     fn_threads: report.fn_threads,
                     fn_times_ms: report
                         .fn_times()
@@ -242,8 +227,6 @@ pub fn verify_source(
                         .map(|t| t.as_millis() as usize)
                         .collect(),
                     shard_contention: report.shard_contention,
-                    partitions: fix.partitions,
-                    worker_queries: report.total_worker_queries(),
                     lint_checks: fix.lint_checks,
                     certs_checked: smt.certs_checked,
                     revalidations: fix.revalidations,
@@ -289,12 +272,9 @@ pub fn verify_source(
                     col_scans: smt.col_scans,
                     conjunct_retractions: smt.conjunct_retractions,
                     quant_instances: smt.quant_instances,
-                    threads: 1,
                     fn_threads: 1,
                     fn_times_ms: Vec::new(),
                     shard_contention: 0,
-                    partitions: 0,
-                    worker_queries: Vec::new(),
                     lint_checks: report.functions.iter().map(|f| f.lint_checks).sum(),
                     certs_checked: smt.certs_checked,
                     revalidations: 0,
@@ -546,7 +526,7 @@ pub fn render_table1(rows: &[TableRow]) -> String {
 pub fn render_query_stats(rows: &[TableRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
+        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>7} | {:>8} {:>10}\n",
         "benchmark",
         "queries",
         "hits",
@@ -563,14 +543,12 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         "db-red",
         "colscan",
         "retract",
-        "thr",
         "fn-thr",
-        "parts",
         "contend",
         "bl-qrys",
         "bl-quants"
     ));
-    out.push_str(&"-".repeat(206));
+    out.push_str(&"-".repeat(194));
     out.push('\n');
     let mut total = QueryStats::default();
     let mut total_baseline = QueryStats::default();
@@ -578,7 +556,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         let s = &row.flux.stats;
         let hit_percent = (s.cache_hits * 100).checked_div(s.smt_queries).unwrap_or(0);
         out.push_str(&format!(
-            "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
+            "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>7} | {:>8} {:>10}\n",
             row.name,
             s.smt_queries,
             s.cache_hits,
@@ -595,9 +573,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
             s.db_reductions,
             s.col_scans,
             s.conjunct_retractions,
-            s.threads,
             s.fn_threads,
-            s.partitions,
             s.shard_contention,
             row.baseline.stats.smt_queries,
             row.baseline.stats.quant_instances,
@@ -616,13 +592,10 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         total.db_reductions += s.db_reductions;
         total.col_scans += s.col_scans;
         total.conjunct_retractions += s.conjunct_retractions;
-        // Pool *widths* are configuration, not work: aggregate each by
-        // maximum, separately — max-merging a single combined figure would
-        // misreport effective parallelism once both pools coexist.
-        total.threads = total.threads.max(s.threads);
+        // The fan-out width is configuration, not work: aggregate it by
+        // maximum.
         total.fn_threads = total.fn_threads.max(s.fn_threads);
         total.shard_contention += s.shard_contention;
-        total.partitions += s.partitions;
         total.lint_checks += s.lint_checks + row.baseline.stats.lint_checks;
         total.certs_checked += s.certs_checked + row.baseline.stats.certs_checked;
         total.revalidations += s.revalidations;
@@ -632,13 +605,13 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         total_baseline.smt_queries += row.baseline.stats.smt_queries;
         total_baseline.quant_instances += row.baseline.stats.quant_instances;
     }
-    out.push_str(&"-".repeat(206));
+    out.push_str(&"-".repeat(194));
     out.push('\n');
     let hit_percent = (total.cache_hits * 100)
         .checked_div(total.smt_queries)
         .unwrap_or(0);
     out.push_str(&format!(
-        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
+        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>7} | {:>8} {:>10}\n",
         "Total",
         total.smt_queries,
         total.cache_hits,
@@ -655,9 +628,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         total.db_reductions,
         total.col_scans,
         total.conjunct_retractions,
-        total.threads,
         total.fn_threads,
-        total.partitions,
         total.shard_contention,
         total_baseline.smt_queries,
         total_baseline.quant_instances,
@@ -706,12 +677,6 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
 pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
     fn outcome_json(out: &VerifyOutcome, indent: &str) -> String {
         let s = &out.stats;
-        let worker_queries = s
-            .worker_queries
-            .iter()
-            .map(|q| q.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         format!(
             "{{\n{indent}  \"safe\": {},\n{indent}  \"time_s\": {:.6},\n{indent}  \
              \"functions\": {},\n{indent}  \"smt_queries\": {},\n{indent}  \
@@ -723,15 +688,13 @@ pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
              \"pivots\": {},\n{indent}  \"propagations\": {},\n{indent}  \
              \"blocked_visits\": {},\n{indent}  \"db_reductions\": {},\n{indent}  \
              \"col_scans\": {},\n{indent}  \"conjunct_retractions\": {},\n{indent}  \
-             \"quant_instances\": {},\n{indent}  \"threads\": {},\n{indent}  \
-             \"partitions\": {},\n{indent}  \"lint_checks\": {},\n{indent}  \
+             \"quant_instances\": {},\n{indent}  \"lint_checks\": {},\n{indent}  \
              \"certs_checked\": {},\n{indent}  \"revalidations\": {},\n{indent}  \
              \"unknowns\": {},\n{indent}  \"evictions\": {},\n{indent}  \
              \"budget_exhausted\": {},\n{indent}  \
              \"fn_threads\": {},\n{indent}  \
              \"shard_contention\": {},\n{indent}  \
-             \"fn_times_ms\": [{}],\n{indent}  \
-             \"worker_queries\": [{}]\n{indent}}}",
+             \"fn_times_ms\": [{}]\n{indent}}}",
             out.safe,
             out.time.as_secs_f64(),
             out.functions,
@@ -752,8 +715,6 @@ pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
             s.col_scans,
             s.conjunct_retractions,
             s.quant_instances,
-            s.threads,
-            s.partitions,
             s.lint_checks,
             s.certs_checked,
             s.revalidations,
@@ -767,7 +728,6 @@ pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
                 .map(|t| t.to_string())
                 .collect::<Vec<_>>()
                 .join(", "),
-            worker_queries,
         )
     }
     let mut out = String::from("{\n  \"benchmarks\": [\n");

@@ -285,9 +285,10 @@ pub enum Fault {
 /// honour ignores it, so e.g. `panic_permille: 1000` panics exactly the
 /// sites that honour [`Fault::Panic`] and leaves the rest fault-free.
 ///
-/// Instrumented sites as of PR 9: `sat`, `simplex`, `session`, `worker`
-/// and `cnf-cache` inside the solving stack, plus `daemon` (worker
-/// dispatch in `fluxd`) and `queue` (request admission in `fluxd`).
+/// Instrumented sites: `sat`, `simplex`, `session` and `cnf-cache` inside
+/// the SMT stack, `worker` (each per-function solve of `flux-check`'s
+/// `check_program`), plus `daemon` (worker dispatch in `fluxd`) and
+/// `queue` (request admission in `fluxd`).
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// RNG seed (shifted to nonzero internally).

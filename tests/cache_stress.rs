@@ -8,8 +8,8 @@
 //! fails the test in bounded time instead of hanging the suite.
 
 use flux_fixpoint::{
-    global_cache, intern_fn_ctx, next_epoch, next_owner, Constraint, FixConfig, FixpointSolver,
-    Guard, KVarApp, KVarStore, QueryKey,
+    global_cache, intern_fn_ctx, next_epoch, next_owner, Constraint, FixpointSolver, Guard,
+    KVarApp, KVarStore, QueryKey,
 };
 use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::{Session, SmtConfig, Validity};
@@ -256,10 +256,7 @@ fn racing_solvers_agree_and_seed_xbench_replays() {
             .map(|_| {
                 thread::spawn(|| {
                     let (c, kvars) = system();
-                    let mut solver = FixpointSolver::new(FixConfig {
-                        threads: 2,
-                        ..FixConfig::default()
-                    });
+                    let mut solver = FixpointSolver::with_defaults();
                     solver.solve(&c, &kvars, &SortCtx::new())
                 })
             })

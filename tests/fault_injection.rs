@@ -1,86 +1,104 @@
 //! Deterministic fault-injection fuzz: seeded fault plans inject spurious
-//! solver `Unknown`s, worker panics and lock-hold delays at the engine's
-//! choke points while full fixpoint solves run on two worker threads.  Four
-//! properties, checked across every seed:
+//! solver `Unknown`s, per-function worker panics and lock-hold delays at
+//! the engine's choke points while `check_program` checks a small
+//! multi-function program at fan-out widths 1 and 2.  Four properties,
+//! checked per function across every seed:
 //!
-//! 1. **No panic escapes** — injected worker panics are contained by the
-//!    scheduler; the solve returns a structured result.
+//! 1. **No panic escapes** — an injected panic in a function's solve is
+//!    contained by `check_program`'s claim loop; the function reports a
+//!    structured `Unknown` and the others complete.
 //! 2. **No hang** — the whole fuzz loop runs under a watchdog.
-//! 3. **No false verification** — a faulted run may report a system safe
+//! 3. **No false verification** — a faulted run may report a function safe
 //!    only when the fault-free run does too.
-//! 4. **No false rejection** — a faulted run may report a system `Unsafe`
-//!    only when the fault-free run does too.  One system component has a
-//!    concrete head provable only through its κ, so a weakening worker
-//!    that panics (losing the κ, which then reads as `true`) must degrade
-//!    the solve to `Unknown` rather than blame the program.  A plan that
-//!    panics every weakening worker pins this deterministically.
+//! 4. **No false rejection** — a faulted run may blame a function only when
+//!    the fault-free run does too.  `count_up`'s postcondition holds only
+//!    through its inferred loop invariant, so a fault that cuts weakening
+//!    short must degrade it to `Unknown` rather than blame the program.
+//!    A plan that panics every function's solve pins containment
+//!    deterministically.
 //!
+//! Solvers use hermetic per-solver caches, so every run drives the engine
+//! (and so the SAT/session/worker fault sites) for real instead of
+//! replaying verdicts an earlier seed left in the process-global cache.
 //! The fault plan is process-global, so this file holds a single test; the
 //! seed count is `FLUX_FAULT_SEEDS` (default 100).
 
-use flux_fixpoint::{
-    Constraint, FixConfig, FixResult, FixpointSolver, Guard, KVarApp, KVarStore, UnknownReason,
-};
-use flux_logic::{env_parse, Expr, Name, Sort, SortCtx};
+use flux_check::{check_source, CheckConfig, Report};
+use flux_fixpoint::{FixConfig, UnknownReason};
+use flux_logic::env_parse;
 use flux_smt::testing::{clear_fault_plan, install_fault_plan, with_watchdog, FaultPlan};
 
-/// Three independent κ components (so the parallel scheduler actually
-/// spawns workers at `threads: 2`).  Two share an entry bound, and `safe`
-/// selects whether their concrete heads are provable.  The third's concrete
-/// head holds only through its κ: `y ≥ 5 ⟹ κ(y)` and `κ(z) ⟹ z > 0`.
-fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
-    let mut kvars = KVarStore::new();
-    let k1 = kvars.fresh(vec![Sort::Int]);
-    let k2 = kvars.fresh(vec![Sort::Int]);
-    let k3 = kvars.fresh(vec![Sort::Int]);
-    let x = Name::intern(&format!("fi_{salt}_x"));
-    let y = Name::intern(&format!("fi_{salt}_y"));
-    let z = Name::intern(&format!("fi_{salt}_z"));
-    let bound = if safe { 0 } else { 100 };
-    let component = |k: flux_fixpoint::KVid, off: i128| {
-        Constraint::conj(vec![
-            Constraint::kvar(KVarApp::new(k, vec![Expr::var(x) + Expr::int(off)])),
-            Constraint::implies(
-                Guard::KVar(KVarApp::new(k, vec![Expr::var(x) + Expr::int(off)])),
-                Constraint::pred(
-                    Expr::gt(Expr::var(x) + Expr::int(off), Expr::int(bound)),
-                    off as usize,
-                ),
-            ),
-        ])
-    };
-    let c = Constraint::conj(vec![
-        Constraint::forall(
-            x,
-            Sort::Int,
-            Expr::ge(Expr::var(x), Expr::int(5)),
-            Constraint::conj(vec![component(k1, 0), component(k2, 1)]),
-        ),
-        Constraint::forall(
-            y,
-            Sort::Int,
-            Expr::ge(Expr::var(y), Expr::int(5)),
-            Constraint::kvar(KVarApp::new(k3, vec![Expr::var(y)])),
-        ),
-        Constraint::forall(
-            z,
-            Sort::Int,
-            Expr::tt(),
-            Constraint::implies(
-                Guard::KVar(KVarApp::new(k3, vec![Expr::var(z)])),
-                Constraint::pred(Expr::gt(Expr::var(z), Expr::int(0)), 2),
-            ),
-        ),
-    ]);
-    (c, kvars)
+/// Three functions that verify and two that do not.
+const SOURCE: &str = r#"
+#[flux::sig(fn(usize[@n]) -> usize[n])]
+fn count_up(n: usize) -> usize {
+    let mut i = 0;
+    while i < n {
+        i += 1;
+    }
+    i
 }
 
-fn solve(c: &Constraint, kvars: &KVarStore) -> FixResult {
-    let mut solver = FixpointSolver::new(FixConfig {
-        threads: 2,
-        ..FixConfig::default()
-    });
-    solver.solve(c, kvars, &SortCtx::new())
+#[flux::sig(fn(i32[@x]) -> i32{v: v >= x && v >= 0})]
+fn abs(x: i32) -> i32 {
+    if x < 0 { -x } else { x }
+}
+
+#[flux::sig(fn(v: &RVec<i32>[@n]) -> i32)]
+fn sum(v: &RVec<i32>) -> i32 {
+    let mut s = 0;
+    let mut i = 0;
+    while i < v.len() {
+        s = s + v.get(i);
+        i += 1;
+    }
+    s
+}
+
+#[flux::sig(fn(i32[@a], i32[@b]) -> i32[a + b + 1])]
+fn add_wrong(a: i32, b: i32) -> i32 {
+    a + b
+}
+
+#[flux::sig(fn(v: &RVec<i32>[@n]) -> i32)]
+fn sum_off_by_one(v: &RVec<i32>) -> i32 {
+    let mut s = 0;
+    let mut i = 0;
+    while i <= v.len() {
+        s = s + v.get(i);
+        i += 1;
+    }
+    s
+}
+"#;
+
+/// Verdicts of the fault-free program, in source order.
+const EXPECT_SAFE: [(&str, bool); 5] = [
+    ("count_up", true),
+    ("abs", true),
+    ("sum", true),
+    ("add_wrong", false),
+    ("sum_off_by_one", false),
+];
+
+fn check(width: usize) -> Report {
+    let config = CheckConfig {
+        fixpoint: FixConfig {
+            threads: width,
+            global_cache: false,
+            ..FixConfig::default()
+        },
+    };
+    check_source(SOURCE, &config).expect("the fuzz program resolves")
+}
+
+/// Per function: `(name, safe, blamed)`.
+fn verdicts(report: &Report) -> Vec<(String, bool, bool)> {
+    report
+        .functions
+        .iter()
+        .map(|f| (f.name.clone(), f.is_safe(), !f.errors.is_empty()))
+        .collect()
 }
 
 #[test]
@@ -100,38 +118,47 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
             }
         }));
 
-        // Fault-free references pin the corpus's polarity: the `true`
-        // variant verifies, the `false` variant does not, whatever the salt
-        // (the salt only renames variables).
-        let references = [system("ref_a", true), system("ref_b", false)];
-        let expect_safe = [true, false];
-        let reference_results: Vec<_> = references.iter().map(|(c, k)| solve(c, k)).collect();
-        for (i, reference) in reference_results.iter().enumerate() {
-            assert_eq!(
-                reference.is_safe(),
-                expect_safe[i],
-                "fault-free reference {i} has the wrong polarity: {reference:?}"
-            );
-        }
+        // The fault-free reference pins each function's polarity, at both
+        // widths.
+        let reference = verdicts(&check(1));
+        let expected: Vec<_> = EXPECT_SAFE
+            .iter()
+            .map(|&(name, safe)| (name.to_string(), safe, !safe))
+            .collect();
+        assert_eq!(
+            reference, expected,
+            "fault-free reference has the wrong polarity"
+        );
+        assert_eq!(
+            verdicts(&check(2)),
+            reference,
+            "fault-free width 2 diverged"
+        );
 
-        // Every weakening worker panics: every κ is lost, and the third
-        // component's head fails without its κ.  Only the `worker` site
-        // honours `Panic` (the solver sites honour only `Unknown`, the
-        // cache site only `Delay`), so the outcome is deterministic.
+        // Every function's solve panics.  Only the `worker` site honours
+        // `Panic` (the solver sites honour only `Unknown`, the cache site
+        // only `Delay`), so the outcome is deterministic.
         install_fault_plan(FaultPlan {
             seed: 1,
             panic_permille: 1000,
             ..FaultPlan::default()
         });
-        for (i, safe) in [(0usize, true), (1usize, false)] {
-            let (c, kvars) = system(&format!("all_panic_v{i}"), safe);
-            let result = solve(&c, &kvars);
-            assert!(
-                matches!(&result, FixResult::Unknown { reasons, .. }
-                    if reasons.iter().any(|r| matches!(r, UnknownReason::WorkerPanic { .. }))),
-                "system {i}: a solve whose weakening workers all panicked must be \
-                 Unknown with the panic as a reason: {result:?}"
-            );
+        for width in [1, 2] {
+            let report = check(width);
+            assert_eq!(report.functions.len(), EXPECT_SAFE.len());
+            for f in &report.functions {
+                assert!(
+                    f.is_unknown()
+                        && f.unknowns
+                            .iter()
+                            .any(|r| matches!(r, UnknownReason::WorkerPanic { .. })),
+                    "width {width}: {} panicked in every solve and must be Unknown \
+                     with the panic as a reason: {:?} / {:?}",
+                    f.name,
+                    f.errors,
+                    f.unknowns
+                );
+            }
         }
         clear_fault_plan();
 
@@ -144,36 +171,34 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                 delay_permille: 30,
                 ..FaultPlan::default()
             });
-            // Fresh per-seed vocabularies: every solve misses the global
-            // verdict cache and drives the engine (and so the SAT/session/
-            // worker fault sites) for real, instead of replaying cached
-            // verdicts from the previous seed.
-            for (i, safe) in [(0usize, true), (1usize, false)] {
-                let (c, kvars) = system(&format!("s{seed}v{i}"), safe);
-                // Any panic escaping `solve` fails the test right here —
-                // containment is the property, not an accident.
-                let result = solve(&c, &kvars);
-                assert!(
-                    !matches!(result, FixResult::Unsafe { .. })
-                        || matches!(reference_results[i], FixResult::Unsafe { .. }),
-                    "seed {seed}: faults fabricated a counterexample: {result:?}"
-                );
-                assert!(
-                    !result.is_safe() || reference_results[i].is_safe(),
-                    "seed {seed}: faults made an unsafe system verify: {result:?}"
-                );
+            for width in [1, 2] {
+                // Any panic escaping `check_program` fails the test right
+                // here — containment is the property, not an accident.
+                let faulted = verdicts(&check(width));
+                assert_eq!(faulted.len(), reference.len());
+                for ((name, safe, blamed), (_, ref_safe, ref_blamed)) in
+                    faulted.iter().zip(&reference)
+                {
+                    assert!(
+                        !safe || *ref_safe,
+                        "seed {seed}, width {width}: faults made {name} verify"
+                    );
+                    assert!(
+                        !blamed || *ref_blamed,
+                        "seed {seed}, width {width}: faults fabricated blame in {name}"
+                    );
+                }
             }
             clear_fault_plan();
         }
 
         // Faulted runs must leave no residue: with the plan cleared, fresh
-        // solves reproduce the fault-free references exactly (injected
-        // `Unknown`s are never shared through the global verdict cache).
-        for (i, (c, kvars)) in references.iter().enumerate() {
+        // runs reproduce the fault-free reference exactly.
+        for width in [1, 2] {
             assert_eq!(
-                &solve(c, kvars),
-                &reference_results[i],
-                "system {i} diverged after the fault storm"
+                verdicts(&check(width)),
+                reference,
+                "width {width} diverged after the fault storm"
             );
         }
     });

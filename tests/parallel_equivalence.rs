@@ -1,70 +1,69 @@
-//! Acceptance tests for the parallel solving pipeline — both pools: the
-//! clause-level weakening scheduler inside each fixpoint solve, and the
-//! function-level fan-out above it.  Solving with any combination of
-//! worker-thread counts must be observationally identical to the
-//! sequential engine — same Safe/Unsafe verdicts and blamed obligations
-//! across the whole benchmark corpus, and bit-identical inferred
-//! `Solution`s for every function's constraint system — while the merged
-//! per-worker statistics still account for every query and report each
-//! pool's width distinctly.
+//! Acceptance tests for the function fan-out: `check_program` runs whole
+//! per-function solves on [`FixConfig::threads`] workers.  Checking at any
+//! width must be observationally identical to checking at width 1 — same
+//! Safe/Unsafe verdicts and blamed obligations, in program order, across
+//! the whole benchmark corpus, and bit-identical inferred `Solution`s for
+//! every function whichever solver (and so whichever cache state) a worker
+//! brings to it — while the merged statistics still account for every
+//! query.
 
 use flux::{verify_source, FixConfig, Mode, VerifyConfig};
 use flux_fixpoint::{FixResult, FixpointSolver};
 use flux_logic::SortCtx;
 
-/// The shipped configuration with a pinned worker-thread cap.  The
-/// function-level fan-out is pinned to 1 so each sweep varies exactly one
-/// pool.
+/// The fan-out widths every sweep covers: the calling thread alone, the
+/// 2-core CI runner's width, and more workers than most benchmarks have
+/// functions.
+const WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// The shipped configuration with a pinned fan-out width.
 fn with_threads(threads: usize) -> VerifyConfig {
     let mut config = VerifyConfig::default();
     config.check.fixpoint.threads = threads;
-    config.check.fn_threads = 1;
     config
 }
 
-/// A configuration pinning both pools: `fn_threads` functions checked
-/// concurrently, each solve using `clause_threads` weakening workers.
-fn with_pools(fn_threads: usize, clause_threads: usize) -> VerifyConfig {
-    let mut config = with_threads(clause_threads);
-    config.check.fn_threads = fn_threads;
-    config
-}
-
-/// A hermetic fixpoint configuration (per-solver cache) with a pinned
-/// worker-thread cap, for the solution-level comparisons: isolation from
-/// the process-global cache keeps a failure attributable to the scheduler
-/// rather than to whatever other tests already proved.
-fn hermetic_fixpoint(threads: usize) -> FixConfig {
+/// A hermetic fixpoint configuration (per-solver cache), for the
+/// solution-level comparisons: isolation from the process-global cache
+/// keeps a failure attributable to the schedule rather than to whatever
+/// other tests already proved.
+fn hermetic_fixpoint() -> FixConfig {
     FixConfig {
         global_cache: false,
-        threads,
         ..FixConfig::default()
     }
 }
 
+/// Per-function verdicts: every checked function of every benchmark
+/// reports the same name, verdict and blamed spans, in source order, at
+/// every width.
 #[test]
 fn corpus_verdicts_are_identical_across_thread_counts() {
-    let sequential = with_threads(1);
+    let verdicts = |source: &str, threads: usize| {
+        let config = flux_check::CheckConfig {
+            fixpoint: FixConfig {
+                threads,
+                ..FixConfig::default()
+            },
+        };
+        let report = flux_check::check_source(source, &config)
+            .unwrap_or_else(|e| panic!("frontend error {e:?}"));
+        report
+            .functions
+            .iter()
+            .map(|f| {
+                let spans: Vec<_> = f.errors.iter().map(|d| d.span).collect();
+                (f.name.clone(), f.is_safe(), f.is_unknown(), spans)
+            })
+            .collect::<Vec<_>>()
+    };
     for b in flux::benchmarks() {
-        let reference = verify_source(b.flux_src, Mode::Flux, &sequential)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        for threads in [2, 8] {
-            let parallel = verify_source(b.flux_src, Mode::Flux, &with_threads(threads))
-                .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
+        let reference = verdicts(b.flux_src, 1);
+        for threads in WIDTHS {
             assert_eq!(
-                parallel.safe, reference.safe,
-                "{} at threads={threads}: parallel and sequential engines disagree \
-                 (parallel errors: {:?}, sequential errors: {:?})",
-                b.name, parallel.errors, reference.errors
-            );
-            assert_eq!(
-                parallel.errors, reference.errors,
-                "{} at threads={threads}: verdicts agree but blamed obligations differ",
-                b.name
-            );
-            assert_eq!(
-                parallel.stats.threads, threads,
-                "{}: the configured thread cap must be reported",
+                verdicts(b.flux_src, threads),
+                reference,
+                "{} at threads={threads}: per-function verdicts differ from width 1",
                 b.name
             );
         }
@@ -72,9 +71,13 @@ fn corpus_verdicts_are_identical_across_thread_counts() {
 }
 
 /// The inferred invariants themselves — not just the verdicts — must be
-/// bit-identical at every thread count, for every function of every
-/// benchmark: the weakening fixpoint is a function of the constraint
-/// system, not of the schedule.
+/// bit-identical for every function of every benchmark, whatever the
+/// solver brings to the function: a fan-out worker reuses one solver
+/// across the functions it claims, so depending on the schedule a
+/// function meets a fresh solver or one whose cache already holds other
+/// functions' verdicts.  Solving each benchmark's functions with one
+/// solver in source order, with one solver in reverse order, and with a
+/// fresh solver each must give the same result.
 #[test]
 fn corpus_solutions_are_identical_across_thread_counts() {
     for b in flux::benchmarks() {
@@ -82,138 +85,126 @@ fn corpus_solutions_are_identical_across_thread_counts() {
             .unwrap_or_else(|e| panic!("{}: parse error {e:?}", b.name));
         let resolved = flux_ir::ResolvedProgram::resolve(&program)
             .unwrap_or_else(|e| panic!("{}: resolve error {e:?}", b.name));
-        for func in resolved.iter() {
-            if func.def.trusted {
-                continue;
-            }
-            let generator = flux_check::checker::Generator::new(&resolved);
-            let gen = generator
-                .gen_function(&func.def.name)
-                .unwrap_or_else(|e| panic!("{}/{}: genexpr error {e:?}", b.name, func.def.name));
-            let mut sequential = FixpointSolver::new(hermetic_fixpoint(1));
-            let reference = sequential.solve(&gen.constraint, &gen.kvars, &SortCtx::new());
-            for threads in [2, 8] {
-                let mut parallel = FixpointSolver::new(hermetic_fixpoint(threads));
-                let result = parallel.solve(&gen.constraint, &gen.kvars, &SortCtx::new());
-                assert_eq!(
-                    result, reference,
-                    "{}/{} at threads={threads}: parallel fixpoint (solution or blame) \
-                     diverged from sequential",
-                    b.name, func.def.name
-                );
-            }
-            // The reference run's safety verdict must match what end-to-end
-            // checking reports for this function (sanity that the harness
-            // exercised the real constraint system).
-            if matches!(reference, FixResult::Unsafe { .. }) {
-                let outcome = verify_source(b.flux_src, Mode::Flux, &with_threads(1)).unwrap();
-                assert!(
-                    !outcome.safe,
-                    "{}/{}: fixpoint says unsafe but the corpus verdict is safe",
-                    b.name, func.def.name
-                );
-            }
+        let systems: Vec<_> = resolved
+            .iter()
+            .filter(|func| !func.def.trusted)
+            .map(|func| {
+                let gen = flux_check::checker::Generator::new(&resolved)
+                    .gen_function(&func.def.name)
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "{}/{}: constraint generation error {e:?}",
+                            b.name, func.def.name
+                        )
+                    });
+                (func.def.name.clone(), gen)
+            })
+            .collect();
+        let mut in_order = FixpointSolver::new(hermetic_fixpoint());
+        let reference: Vec<FixResult> = systems
+            .iter()
+            .map(|(_, gen)| in_order.solve(&gen.constraint, &gen.kvars, &SortCtx::new()))
+            .collect();
+        let mut reversed = FixpointSolver::new(hermetic_fixpoint());
+        for ((name, gen), expected) in systems.iter().zip(&reference).rev() {
+            let result = reversed.solve(&gen.constraint, &gen.kvars, &SortCtx::new());
+            assert_eq!(
+                &result, expected,
+                "{}/{name}: a solver warmed by later functions diverged",
+                b.name
+            );
+        }
+        for ((name, gen), expected) in systems.iter().zip(&reference) {
+            let mut fresh = FixpointSolver::new(hermetic_fixpoint());
+            let result = fresh.solve(&gen.constraint, &gen.kvars, &SortCtx::new());
+            assert_eq!(
+                &result, expected,
+                "{}/{name}: a fresh solver diverged from the shared one",
+                b.name
+            );
+        }
+        // The width-1 run's safety verdicts must match what end-to-end
+        // checking reports (sanity that the harness exercised the real
+        // constraint systems).
+        if reference
+            .iter()
+            .any(|r| matches!(r, FixResult::Unsafe { .. }))
+        {
+            let outcome = verify_source(b.flux_src, Mode::Flux, &with_threads(1)).unwrap();
+            assert!(
+                !outcome.safe,
+                "{}: fixpoint says unsafe but the corpus verdict is safe",
+                b.name
+            );
         }
     }
 }
 
-/// Merged per-worker statistics must account for the whole workload:
-/// worker-slot query counts sum to the engine total, hits and misses
-/// account for every query, and the hit classifications never exceed the
-/// hits — at every thread count, across the whole corpus.
+/// Merged per-function statistics must account for the whole workload:
+/// hits and misses account for every query, the hit classifications never
+/// exceed the hits, and the reported width and time vector are in range —
+/// at every width, across the whole corpus.
 #[test]
 fn parallel_stats_merge_is_lossless_on_the_corpus() {
-    // Sweep both pools, including combinations where they coexist: the
-    // merge must stay lossless whether queries come from one solver's
-    // worker slots or from eight concurrent per-function solvers.
-    for (fn_threads, threads) in [(1, 1), (1, 2), (1, 8), (2, 2), (8, 1)] {
-        let config = with_pools(fn_threads, threads);
+    for threads in WIDTHS {
+        let config = with_threads(threads);
         for b in flux::benchmarks() {
             let outcome = verify_source(b.flux_src, Mode::Flux, &config)
                 .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
             let s = &outcome.stats;
             assert_eq!(
-                s.worker_queries.iter().sum::<usize>(),
-                s.smt_queries,
-                "{} at fn={fn_threads}/cl={threads}: per-worker query counts must sum                  to the total (per-function vectors must never interleave)",
-                b.name
-            );
-            assert!(
-                // One slot vector per function under fan-out, each at most
-                // `threads` wide.
-                s.worker_queries.len() <= threads * s.fn_times_ms.len().max(1),
-                "{} at fn={fn_threads}/cl={threads}: more worker slots ({}) than workers",
-                b.name,
-                s.worker_queries.len()
-            );
-            assert_eq!(
                 s.cache_hits + s.cache_misses,
                 s.smt_queries,
-                "{} at fn={fn_threads}/cl={threads}: hits + misses must account for                  every query",
+                "{} at threads={threads}: hits + misses must account for every query",
                 b.name
             );
             assert!(
                 s.cross_fn_hits + s.xbench_hits <= s.cache_hits,
-                "{} at fn={fn_threads}/cl={threads}: hit classifications exceed total hits",
+                "{} at threads={threads}: hit classifications exceed total hits",
                 b.name
             );
             assert!(
-                s.partitions > 0,
-                "{} at fn={fn_threads}/cl={threads}: a verified benchmark must report                  its κ-partitions",
-                b.name
-            );
-            // Each pool's width is reported distinctly (regression: a
-            // single max-merged figure let the fan-out width masquerade as
-            // clause-level parallelism once both pools coexisted).
-            assert_eq!(
-                s.threads, threads,
-                "{} at fn={fn_threads}/cl={threads}: the clause pool width must not                  absorb the function fan-out width",
-                b.name
-            );
-            assert!(
-                s.fn_threads >= 1 && s.fn_threads <= fn_threads,
-                "{} at fn={fn_threads}/cl={threads}: reported fan-out width {} out of                  range",
+                s.fn_threads >= 1 && s.fn_threads <= threads,
+                "{} at threads={threads}: reported fan-out width {} out of range",
                 b.name,
                 s.fn_threads
             );
-            assert!(
-                !s.fn_times_ms.is_empty(),
-                "{} at fn={fn_threads}/cl={threads}: per-function wall-clock vector                  must have one slot per checked function",
+            assert_eq!(
+                s.fn_times_ms.len(),
+                outcome.functions,
+                "{} at threads={threads}: the per-function wall-clock vector must \
+                 have one slot per checked function",
                 b.name
             );
         }
     }
 }
 
-/// Function-level fan-out equivalence: the whole corpus must verify
-/// identically — verdicts *and* blamed obligations, in the same order —
-/// when functions are checked concurrently, at every pool-width
-/// combination, and the per-function time vector keeps one slot per
-/// function regardless of schedule.
+/// Function fan-out equivalence at the report level: the whole corpus
+/// must verify identically — verdicts *and* blamed obligations, in the
+/// same order — when functions are checked concurrently, and the
+/// per-function time vector keeps one slot per function regardless of
+/// schedule.
 #[test]
 fn corpus_verdicts_are_identical_across_function_fanout_widths() {
     let sequential = with_threads(1);
     for b in flux::benchmarks() {
         let reference = verify_source(b.flux_src, Mode::Flux, &sequential)
             .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        for (fn_threads, clause_threads) in [(2, 1), (8, 1), (2, 2), (8, 2)] {
-            let config = with_pools(fn_threads, clause_threads);
-            let parallel = verify_source(b.flux_src, Mode::Flux, &config)
+        for threads in WIDTHS {
+            let parallel = verify_source(b.flux_src, Mode::Flux, &with_threads(threads))
                 .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
             assert_eq!(
-                parallel.safe, reference.safe,
-                "{} at fn={fn_threads}/cl={clause_threads}: fan-out and sequential                  engines disagree (parallel errors: {:?}, sequential errors: {:?})",
-                b.name, parallel.errors, reference.errors
-            );
-            assert_eq!(
                 parallel.errors, reference.errors,
-                "{} at fn={fn_threads}/cl={clause_threads}: verdicts agree but blamed                  obligations differ or are reordered (the merge must follow program                  order, not completion order)",
+                "{} at threads={threads}: blamed obligations differ or are reordered \
+                 (the merge must follow program order, not completion order)",
                 b.name
             );
             assert_eq!(
                 parallel.stats.fn_times_ms.len(),
                 reference.stats.fn_times_ms.len(),
-                "{} at fn={fn_threads}/cl={clause_threads}: one wall-clock slot per                  checked function, regardless of schedule",
+                "{} at threads={threads}: one wall-clock slot per checked function, \
+                 regardless of schedule",
                 b.name
             );
         }
@@ -227,7 +218,7 @@ fn corpus_verdicts_are_identical_across_function_fanout_widths() {
 /// exceed the number of collisions that actually happened.
 #[test]
 fn contention_total_never_exceeds_the_global_counters() {
-    let config = with_pools(2, 2);
+    let config = with_threads(2);
     let before = flux_fixpoint::shard_contentions();
     let mut total = 0;
     for b in flux::benchmarks() {
